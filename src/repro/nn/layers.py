@@ -15,7 +15,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, records_graph
 
 
 def _default_rng(rng: Optional[np.random.Generator]) -> np.random.Generator:
@@ -113,6 +113,8 @@ class _BatchNormBase(Module):
     def forward(self, x: Tensor) -> Tensor:
         axes = self._axes(x)
         shape = self._param_shape(x)
+        if not self.training and not records_graph(x, self.weight, self.bias):
+            return Tensor(self._normalize_inference(x.data, shape))
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
@@ -128,6 +130,17 @@ class _BatchNormBase(Module):
         inv_std = (var + self.eps) ** -0.5
         normalized = (x - mean) * inv_std
         return normalized * self.weight.reshape(shape) + self.bias.reshape(shape)
+
+    def _normalize_inference(self, x: np.ndarray, shape) -> np.ndarray:
+        """The eval formula above without Tensor nodes: the same four
+        full-size ops in the same order, in place on one fresh buffer.
+        ``x`` is never written (the search evaluator caches activations).
+        """
+        inv_std = np.power(self.running_var.reshape(shape) + np.asarray(self.eps), -0.5)
+        out = np.subtract(x, self.running_mean.reshape(shape))
+        out = F.apply_inplace(np.multiply, out, inv_std)
+        out = F.apply_inplace(np.multiply, out, self.weight.data.reshape(shape))
+        return F.apply_inplace(np.add, out, self.bias.data.reshape(shape))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.num_features})"

@@ -40,7 +40,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.quant.qmodules import QConv2d, QLinear, quantized_layers
 from repro.quant.uniform import quantization_levels
-from repro.tensor.functional import conv_output_size, im2col
+from repro.tensor.functional import apply_inplace, conv_output_size, im2col
 from repro.tensor.tensor import Tensor
 
 #: dtype of every integer accumulation (generous; see ``acc_bits_used``).
@@ -80,6 +80,8 @@ class IntegerLayerSpec:
     _flat_float: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    #: Lazily computed read-only :meth:`filter_scales`, shared likewise.
+    _scales: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def num_filters(self) -> int:
@@ -115,13 +117,20 @@ class IntegerLayerSpec:
         return replace(self, acc_bits_used=0)
 
     def filter_scales(self) -> np.ndarray:
-        """Per-filter requantization scale ``s_f`` (0 for pruned filters)."""
-        scales = np.zeros(self.num_filters)
-        span = self.weight_upper - self.weight_lower
-        for f, bits in enumerate(self.bits_per_filter):
-            if bits > 0:
-                scales[f] = span / (quantization_levels(int(bits)) - 1)
-        return scales
+        """Per-filter requantization scale ``s_f`` (0 for pruned filters).
+
+        Computed once per spec and returned read-only: every forward
+        rescales with it.
+        """
+        if self._scales is None:
+            scales = np.zeros(self.num_filters)
+            span = self.weight_upper - self.weight_lower
+            for f, bits in enumerate(self.bits_per_filter):
+                if bits > 0:
+                    scales[f] = span / (quantization_levels(int(bits)) - 1)
+            scales.setflags(write=False)
+            self._scales = scales
+        return self._scales
 
     @property
     def act_scale(self) -> float:
@@ -302,6 +311,16 @@ def integer_forward(spec: IntegerLayerSpec, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rescale(acc: np.ndarray, scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The requantization epilogue ``scale * acc + offset``.
+
+    Same operations in the same order as the out-of-place expression,
+    written into ``acc`` when it is a float accumulator (the weight-only
+    path); an int64 accumulator is left intact for the caller.
+    """
+    return apply_inplace(np.add, apply_inplace(np.multiply, acc, scale), offset)
+
+
 def _integer_linear(
     spec: IntegerLayerSpec, operand: np.ndarray, s_a: float, integer_input: bool
 ) -> np.ndarray:
@@ -314,7 +333,7 @@ def _integer_linear(
         _record_acc_width(spec, acc)
     code_sum = operand.sum(axis=1, keepdims=True)  # (N, 1)
     scales = spec.filter_scales().reshape(1, -1)
-    return scales * s_a * acc + spec.weight_lower * s_a * code_sum
+    return _rescale(acc, scales * s_a, spec.weight_lower * s_a * code_sum)
 
 
 def _integer_conv(
@@ -334,7 +353,7 @@ def _integer_conv(
         _record_acc_width(spec, acc)
     code_sum = cols.sum(axis=1)  # (N, P)
     scales = spec.filter_scales().reshape(1, -1, 1)
-    out = scales * s_a * acc + spec.weight_lower * s_a * code_sum[:, None, :]
+    out = _rescale(acc, scales * s_a, spec.weight_lower * s_a * code_sum[:, None, :])
     oh = conv_output_size(h, kh, spec.stride, spec.padding)
     ow = conv_output_size(w, kw, spec.stride, spec.padding)
     return out.reshape(n, spec.num_filters, oh, ow)

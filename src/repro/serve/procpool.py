@@ -297,6 +297,9 @@ class ProcessWorkerHandle:
         # while holding _cond's lock (submit updates state first, then
         # sends), so a blocked pipe cannot wedge the stats readers.
         self._wire_lock = threading.Lock()
+        # Until start(), request frames wait here instead of on the pipe.
+        self._started = False  # guarded-by: _wire_lock
+        self._held: List[bytes] = []  # guarded-by: _wire_lock
         self._reader = threading.Thread(
             target=self._read_loop,
             name=f"repro-serve-proc-reader-{process.pid}",
@@ -306,11 +309,25 @@ class ProcessWorkerHandle:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Workers serve from the moment they are spawned (no-op)."""
+        """Ship the frames held since construction, in submit order,
+        and send every later one straight away (idempotent). Until then
+        the worker idles, so requests queued before a pool's start()
+        coalesce deterministically, as in the thread engine."""
+        try:
+            with self._wire_lock:
+                if self._started:
+                    return
+                self._started = True
+                held, self._held = self._held, []
+                for frame in held:
+                    self.conn.send_bytes(frame)
+        except (BrokenPipeError, OSError):
+            self._note_broken_pipe()
 
     @property
     def started(self) -> bool:
-        return True
+        with self._wire_lock:
+            return self._started
 
     def kill(self) -> None:
         """Chaos hook: SIGKILL the worker process.
@@ -383,12 +400,18 @@ class ProcessWorkerHandle:
         frame = _encode_predict(request.rid, request.x)
         try:
             with self._wire_lock:
+                if not self._started:
+                    self._held.append(frame)
+                    return
                 self.conn.send_bytes(frame)
         except (BrokenPipeError, OSError):
-            with self._cond:
-                if not self._closing:
-                    self._crashed = True
-                self._cond.notify_all()
+            self._note_broken_pipe()
+
+    def _note_broken_pipe(self) -> None:
+        with self._cond:
+            if not self._closing:
+                self._crashed = True
+            self._cond.notify_all()
 
     def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
         return self.submit(x).result(timeout)
@@ -434,7 +457,7 @@ class ProcessWorkerHandle:
             if op == _MSG_BATCH:
                 self._handle_batch(frame)
             elif op == _MSG_CLOSED:
-                continue  # graceful exit; EOF follows
+                break  # graceful exit: the worker sends nothing more
         with self._cond:
             if not self._closing:
                 self._crashed = True
@@ -497,6 +520,7 @@ class ProcessWorkerHandle:
         window raises :class:`ShutdownTimeout` and stays open — a
         later ``close()`` keeps waiting.
         """
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             self._closing = True
             crashed = self._crashed
@@ -504,6 +528,7 @@ class ProcessWorkerHandle:
             if send_close:
                 self._close_sent = True
         if send_close:
+            self.start()  # a never-started worker answers its held frames too
             try:
                 with self._wire_lock:
                     self.conn.send_bytes(struct.pack("<BB", _OP_CLOSE, 1))
@@ -516,6 +541,15 @@ class ProcessWorkerHandle:
             raise ShutdownTimeout(
                 f"worker process still running after {timeout} s "
                 f"(draining={drain}); call close() again to keep waiting"
+            )
+        # The reader leaves on the worker's CLOSED frame, or on EOF once
+        # the worker has exited; closing the pipe under a reader still
+        # inside recv_bytes would crash that thread.
+        self._reader.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        if self._reader.is_alive():
+            raise ShutdownTimeout(
+                f"worker exited but its pipe reader is still running after "
+                f"{timeout} s; call close() again to keep waiting"
             )
         try:
             self.conn.close()
@@ -707,6 +741,11 @@ class ProcessEnginePool(EnginePool):
         slot = self._add_slot_locked(handle, lease.model, lease)
         with self._lock:
             self._shm_attached += 1
+            started = self._started
+        # Checked after enrolling: a concurrent pool start() either saw
+        # this slot or had already set the flag read here.
+        if started:
+            handle.start()
         return slot
 
     def _await_ready(self, conn, process, expected_dtype: np.dtype) -> None:

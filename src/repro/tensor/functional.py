@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.tensor.tensor import Tensor
 
@@ -25,6 +26,20 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     if len(pair) != 2:
         raise ValueError(f"expected an int or a pair, got {value!r}")
     return pair
+
+
+def apply_inplace(ufunc: np.ufunc, out: np.ndarray, operand) -> np.ndarray:
+    """``ufunc(out, operand)``, written into ``out`` where that is exact.
+
+    ``out`` must be a scratch array the caller owns and ``operand`` must
+    broadcast to its shape. The result is written in place only when
+    numpy's promotion keeps ``out.dtype``; otherwise a fresh array of the
+    promoted dtype is returned. Either way the values are bitwise those
+    of the out-of-place expression.
+    """
+    if np.result_type(out, operand) == out.dtype:
+        return ufunc(out, operand, out=out)
+    return ufunc(out, operand)
 
 
 # ----------------------------------------------------------------------
@@ -47,23 +62,29 @@ def im2col(
     """Unfold NCHW input into convolution columns.
 
     Returns an array of shape ``(N, C * KH * KW, OH * OW)`` where column
-    ``o`` holds the receptive field of output position ``o``.
+    ``o`` holds the receptive field of output position ``o``. The input
+    is padded once into a zeroed buffer; a read-only strided view then
+    lays out every window, and one copy makes the columns.
     """
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     n, c, h, w = x.shape
-    oh = (h - kh) // sh + 1
-    ow = (w - kw) // sw + 1
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_end = i + sh * oh
-        for j in range(kw):
-            j_end = j + sw * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_end:sh, j:j_end:sw]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    if ph or pw:
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+        x = padded
+    oh = (x.shape[2] - kh) // sh + 1
+    ow = (x.shape[3] - kw) // sw + 1
+    sn, sc, sy, sx = x.strides
+    windows = as_strided(
+        x,
+        shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, sy, sx, sy * sh, sx * sw),
+        writeable=False,
+    )
+    # An explicit copy: a reshape alone may return a view aliasing ``x``.
+    return windows.copy().reshape(n, c * kh * kw, oh * ow)
 
 
 def col2im(
@@ -132,7 +153,7 @@ def conv2d(
     # batched serving (repro.serve) amortizes across coalesced requests.
     out = np.matmul(w2, cols)
     if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1)
+        out = apply_inplace(np.add, out, bias.data.reshape(1, -1, 1))
     out = out.reshape(n, c_out, oh, ow)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -154,22 +175,33 @@ def conv2d(
 # Pooling
 # ----------------------------------------------------------------------
 def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> Tensor:
-    """Max pooling over NCHW input."""
+    """Max pooling over NCHW input.
+
+    The kh×kw strided slices of the input are folded into one output
+    buffer with ``np.maximum``; no column matrix is built in the forward.
+    """
     kernel = _pair(kernel)
     stride = kernel if stride is None else _pair(stride)
     n, c, h, w = x.shape
     kh, kw = kernel
-    oh = conv_output_size(h, kh, stride[0], 0)
-    ow = conv_output_size(w, kw, stride[1], 0)
+    sh, sw = stride
+    oh = conv_output_size(h, kh, sh, 0)
+    ow = conv_output_size(w, kw, sw, 0)
 
-    flat = x.data.reshape(n * c, 1, h, w)
-    cols = im2col(flat, kernel, stride, (0, 0))  # (N*C, KH*KW, OH*OW)
-    out = cols.max(axis=1).reshape(n, c, oh, ow)
+    windows = [
+        x.data[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+    out = windows[0].copy()
+    for window in windows[1:]:
+        np.maximum(out, window, out=out)
 
     def backward(grad):
-        # The winner indices are only needed for the gradient, so they
-        # are recomputed lazily here — eval/no_grad forwards (search
-        # evaluator, serving engine) never pay the argmax.
+        # The column matrix and the winner indices serve only the
+        # gradient, so a forward that is never differentiated pays for
+        # neither.
+        cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, (0, 0))
         arg = cols.argmax(axis=1)  # (N*C, OH*OW)
         grad_flat = grad.reshape(n * c, 1, oh * ow)
         grad_cols = np.zeros_like(cols)

@@ -33,6 +33,15 @@ def is_grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
 
+def records_graph(*parents: "Tensor") -> bool:
+    """Whether an op over ``parents`` is recorded in the autograd graph.
+
+    Kernels use this to skip work only a backward pass needs (argmax
+    indices, column matrices, intermediate Tensor nodes).
+    """
+    return is_grad_enabled() and any(p.requires_grad for p in parents)
+
+
 def _set_grad_enabled(mode: bool) -> None:
     _state.grad_enabled = mode
 
@@ -159,7 +168,7 @@ class Tensor:
     ) -> "Tensor":
         """Create the output tensor of an op, wiring the graph if enabled."""
         parents = tuple(parents)
-        needs_grad = is_grad_enabled() and any(p.requires_grad for p in parents)
+        needs_grad = records_graph(*parents)
         out = Tensor(data, requires_grad=needs_grad)
         if needs_grad:
             out._parents = parents

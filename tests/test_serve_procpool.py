@@ -5,6 +5,7 @@ lifecycle, and the ServeConfig integration that makes thread- and
 process-backed pools interchangeable."""
 
 import gc
+import threading
 import time
 
 import numpy as np
@@ -219,6 +220,73 @@ class TestProcessPoolServing:
             assert pool.peak_engines == 1
         finally:
             pool.close(drain=True, timeout=30)
+
+    def test_autostart_false_holds_rows_until_start(self, mlp_artifact):
+        """Mirrors the thread engine's deterministic-coalescing test:
+        rows queued before start() reach the worker only then, so they
+        coalesce into full batches."""
+        cache = ArtifactCache()
+        pool = ProcessEnginePool(
+            mlp_artifact, cache, workers=1,
+            batch_window_s=0.5, max_batch_size=4,
+            record_batches=True, autostart=False,
+        )
+        try:
+            inputs = np.random.default_rng(5).standard_normal((10, 3, 8, 8))
+            pendings = [pool.submit(x) for x in inputs]
+            time.sleep(0.2)
+            assert pool.stats.forwards == 0
+            assert not any(pending.done() for pending in pendings)
+            pool.start()
+            pool.drain(timeout=30)
+            (engine,) = pool.engines
+            assert [len(batch) for batch in engine.executed_batches()] == [4, 4, 2]
+            run = ReplayRun(
+                payload={},
+                outputs=np.stack([p.result(timeout=30) for p in pendings]),
+                request_ids=[p.request_id for p in pendings],
+                engine_indices=[p.engine_index for p in pendings],
+            )
+            assert verify_replay(PoolSession(pool), inputs, run, expected=10) == 10
+        finally:
+            pool.close(drain=True, timeout=30)
+
+    def test_close_before_start_answers_held_rows(self, mlp_artifact):
+        cache = ArtifactCache()
+        pool = ProcessEnginePool(
+            mlp_artifact, cache, workers=1, batch_window_s=0.0, autostart=False
+        )
+        x = np.random.default_rng(6).standard_normal((3, 8, 8))
+        pending = pool.submit(x)
+        pool.close(drain=True, timeout=30)
+        with no_grad():
+            local = mlp_artifact.model()(Tensor(x[None].astype(pool.input_dtype))).data[0]
+        np.testing.assert_array_equal(pending.result(timeout=0), local)
+        assert cache.active_leases() == 0
+
+    def test_open_close_cycles_leave_no_thread_errors(self, mlp_artifact):
+        """close() joins each worker's pipe reader before closing the
+        pipe, so no reader thread dies inside recv_bytes."""
+        errors = []
+        previous = threading.excepthook
+        threading.excepthook = errors.append
+        try:
+            cache = ArtifactCache()
+            for cycle in range(6):
+                pool = ProcessEnginePool(
+                    mlp_artifact, cache, workers=2, batch_window_s=0.0
+                )
+                try:
+                    inputs = np.random.default_rng(cycle).standard_normal((4, 3, 8, 8))
+                    for pending in [pool.submit(x) for x in inputs]:
+                        pending.result(timeout=30)
+                finally:
+                    pool.close(drain=cycle % 2 == 0, timeout=30)
+                for _index, engine, _model in pool.engine_records():
+                    assert not engine._reader.is_alive()
+        finally:
+            threading.excepthook = previous
+        assert [f"{e.exc_type.__name__}: {e.exc_value}" for e in errors] == []
 
 
 # ----------------------------------------------------------------------
