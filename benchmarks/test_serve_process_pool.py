@@ -5,7 +5,7 @@ trace twice — once from a 4-engine *thread* pool (GIL-bound: numpy
 releases the GIL inside kernels but the pure-python forward glue
 serializes) and once from a 4-worker *process* pool mapping one
 shared-memory artifact copy — and asserts the engineering contract of
-``repro.serve.procpool``:
+the process placement (``repro.serve.procpool``):
 
 * process-backed serving reaches **>= 1.5x** the thread-pool
   throughput at 4 workers (real parallel forwards vs interleaved ones),
@@ -62,9 +62,8 @@ def _timed_replay(artifact, inputs, config):
     finally:
         session.close()
     # Post-close shm accounting (segment must be unlinked by now).
-    shm = (
-        session.pool.shm_stats() if hasattr(session.pool, "shm_stats") else None
-    )
+    placement = session.pool.placement
+    shm = placement.shm_stats() if placement.kind == "process" else None
     return wall, verified, shm
 
 

@@ -171,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="serve from this many worker processes mapping one "
         "shared-memory copy of the artifact (true parallel forwards; "
-        "0 = in-process thread engines); excludes --engines/--autoscale",
+        "0 = in-process thread engines); excludes --engines, and with "
+        "--autoscale it is the lower bound",
     )
     serve.add_argument(
         "--repeat",
@@ -235,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="kill one engine's worker mid-trace to exercise lease release, "
-        "re-lease and request re-dispatch (needs --autoscale or --processes)",
+        "re-lease and request re-dispatch",
     )
     serve.add_argument(
         "--backend",
@@ -574,6 +575,7 @@ def _run_serve(args) -> int:
         render_trace_replay,
         replay_requests,
         replay_trace,
+        resolve_policy,
         verify_replay,
     )
 
@@ -586,22 +588,29 @@ def _run_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.processes and (args.autoscale or args.engines != 1):
-        print(
-            "serve: --processes replaces the thread fan-out; drop "
-            "--engines/--autoscale",
-            file=sys.stderr,
-        )
-        return 2
     if (args.autoscale or args.chaos) and args.trace is None:
         print("serve: --autoscale/--chaos need --trace", file=sys.stderr)
         return 2
-    if args.chaos and not args.autoscale and not args.processes:
-        print(
-            "serve: --chaos needs a supervised pool (--autoscale or "
-            "--processes) to recover the killed worker",
-            file=sys.stderr,
+    try:
+        policy = None
+        if args.autoscale:
+            policy = AutoscalePolicy(
+                min_engines=args.processes or args.engines,
+                max_engines=args.max_engines,
+            )
+        config = ServeConfig(
+            batch_window_s=args.batch_window_ms / 1e3,
+            max_batch_size=args.max_batch,
+            record_batches=not args.no_verify,
+            engines=args.engines,
+            autoscale=policy,
+            backend=args.backend,
+            pool="process" if args.processes else "thread",
+            workers=args.processes or ServeConfig.workers,
         )
+        resolve_policy(config)
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
         return 2
     cache = ArtifactCache()
     trace = None
@@ -618,25 +627,7 @@ def _run_serve(args) -> int:
         )
     inputs = None
     for round_index in range(max(1, args.repeat)):
-        policy = None
-        if args.autoscale:
-            policy = AutoscalePolicy(
-                min_engines=args.engines, max_engines=args.max_engines
-            )
-        session = ServingSession(
-            args.artifact,
-            config=ServeConfig(
-                batch_window_s=args.batch_window_ms / 1e3,
-                max_batch_size=args.max_batch,
-                record_batches=not args.no_verify,
-                engines=1 if policy is not None else args.engines,
-                autoscale=policy,
-                backend=args.backend,
-                pool="process" if args.processes else "thread",
-                workers=args.processes or 2,
-            ),
-            cache=cache,
-        )
+        session = ServingSession(args.artifact, config=config, cache=cache)
         artifact = session.artifact
         manifest = artifact.manifest
         if inputs is None:
@@ -654,8 +645,8 @@ def _run_serve(args) -> int:
                 if trace is None
                 else trace.describe()
                 + (
-                    f"; autoscale {args.engines}..{args.max_engines}"
-                    if args.autoscale
+                    f"; autoscale {policy.min_engines}..{policy.max_engines}"
+                    if policy is not None
                     else f"; {fanout_note}"
                 )
             )

@@ -276,20 +276,17 @@ class GatewayReplayClient:
         """The replay reporter's pool probe: this handle answers the
         :class:`~repro.serve.pool.EnginePool` introspection surface
         itself (``supports_chaos``/``describe_scaling``/
-        ``peak_engines``); scale events live on the server and come
-        back via ``/v1/stats``, not here."""
+        ``peak_engines``) from the server's ``/v1/stats``."""
         return self
 
     @property
     def peak_engines(self) -> int:
-        """Current server-side engine count (the wire does not replay
-        the server's high-water mark)."""
-        return len(self.engines)
+        """The server pool's high-water engine count."""
+        return int(self.describe_scaling()["peak_engines"])
 
-    def describe_scaling(self) -> None:
-        """Server-side scaling is reported via ``/v1/stats``, not the
-        replay payload."""
-        return None
+    def describe_scaling(self) -> Dict[str, object]:
+        """The server pool's own ``describe_scaling()`` report."""
+        return self.client.artifact_stats(self.artifact)["scaling"]
 
     @property
     def engines(self) -> Tuple[_WireEngine, ...]:

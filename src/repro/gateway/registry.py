@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.serve.artifact import ArtifactCache, ServingArtifact
 from repro.serve.pool import AutoscalePolicy
-from repro.serve.session import ServeConfig, ServingSession
+from repro.serve.session import ServeConfig, ServingSession, resolve_policy
 
 #: Default per-artifact admission budget (input rows admitted but not
 #: yet answered). Deliberately small: the gateway sheds early and the
@@ -74,8 +74,8 @@ class ArtifactSpec:
 
     pool: str = "thread"
     """Where this artifact's engines run: ``"thread"`` (in-process) or
-    ``"process"`` (a :class:`~repro.serve.procpool.ProcessEnginePool`
-    of ``workers`` worker processes over one shared-memory artifact)."""
+    ``"process"`` (``workers`` worker processes over one shared-memory
+    artifact, :class:`~repro.serve.procpool.ProcessPlacement`)."""
 
     workers: int = 2
     """Worker-process fan-out when ``pool == "process"``."""
@@ -87,17 +87,14 @@ class ArtifactSpec:
     """Back-off hint sent with 429 responses for this artifact."""
 
     def serve_config(self) -> ServeConfig:
-        # Autoscaled sessions take their engine bounds from the policy
-        # (ServeConfig rejects engines != 1 alongside a policy).
+        """The spec's serving fields, passed through unchanged;
+        :meth:`ArtifactRegistry.register` validates them with
+        :func:`~repro.serve.session.resolve_policy`."""
         return ServeConfig(
             batch_window_s=self.batch_window_s,
             max_batch_size=self.max_batch_size,
             record_batches=self.record_batches,
-            engines=(
-                1
-                if self.autoscale is not None or self.pool == "process"
-                else self.engines
-            ),
+            engines=self.engines,
             autoscale=self.autoscale,
             backend=self.backend,
             max_pending=self.max_pending,
@@ -164,12 +161,15 @@ class ArtifactRegistry:
         """Register ``spec`` under its name; optionally load it now.
 
         Names are unique — re-registering a live name raises; unload
-        the old entry first.
+        the old entry first. A spec whose serving fields conflict
+        raises :func:`~repro.serve.session.resolve_policy`'s
+        ``ValueError`` here, not at first use.
         """
         if not spec.name or "/" in spec.name:
             raise ValueError(
                 f"artifact name {spec.name!r} must be non-empty and free of '/'"
             )
+        resolve_policy(spec.serve_config())
         with self._lock:
             if self._closing:
                 raise RuntimeError("registry is closed")
@@ -368,8 +368,9 @@ class ArtifactRegistry:
             }
 
     def stats_payload(self) -> Dict[str, object]:
-        """The ``/v1/stats`` document: per-artifact serve stats +
-        admission counters + cache/lease/scale-event accounting."""
+        """The ``/v1/stats`` document: per-artifact serve stats,
+        admission counters and the pool's ``describe_scaling()`` report,
+        plus cache/lease accounting."""
         with self._lock:
             entries = sorted(self._entries.items())
         artifacts: Dict[str, object] = {}
@@ -383,19 +384,7 @@ class ArtifactRegistry:
             if session is not None:
                 document["serve"] = session.stats.to_dict()
                 document["engines"] = len(session.engines)
-                # Pools self-describe through the EnginePool interface —
-                # no isinstance branching on which transport is serving.
-                scaling = session.pool.describe_scaling()
-                if scaling is not None and scaling.get("enabled"):
-                    document["autoscale"] = {
-                        "policy": scaling["policy"],
-                        "peak_engines": int(session.pool.peak_engines),
-                        "events": scaling["events"],
-                    }
-                elif scaling is not None:
-                    document["supervision"] = dict(
-                        scaling, peak_engines=int(session.pool.peak_engines)
-                    )
+                document["scaling"] = session.pool.describe_scaling()
             artifacts[name] = document
         cache_stats = self.cache.stats
         return {

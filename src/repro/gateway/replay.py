@@ -33,7 +33,7 @@ from repro.serve.replay import (
     replay_trace,
     verify_replay,
 )
-from repro.serve.session import ServeConfig, ServingSession
+from repro.serve.session import ServingSession
 from repro.serve.trace import TraceConfig, generate_trace
 
 
@@ -74,16 +74,12 @@ def run_point(
 
     ``pool="process"`` serves the artifact behind the gateway from
     ``pool_workers`` worker processes over one shared-memory copy
-    (:class:`~repro.serve.procpool.ProcessEnginePool`); the HTTP
+    (:class:`~repro.serve.procpool.ProcessPlacement`); the HTTP
     surface, admission control and parity verification are unchanged —
-    the registry consumes the pool through the same
-    :class:`~repro.serve.pool.EnginePool` interface.
+    the registry consumes the one :class:`~repro.serve.pool.EnginePool`.
+    The knobs map straight onto an :class:`ArtifactSpec`, which
+    :meth:`ArtifactRegistry.register` validates.
     """
-    if pool == "process" and autoscale:
-        raise ValueError(
-            "process pools are supervised but not autoscaled; pick "
-            "pool='process' or autoscale=True, not both"
-        )
     artifact = build_uniform_artifact(
         model=model, dataset=dataset, scale=scale, seed=seed, bits=bits
     )
@@ -137,21 +133,6 @@ def run_point(
         )
         run.payload["verified_requests"] = verified
         gateway_stats = registry.stats_payload()["artifacts"][name]
-        # The wire replay cannot see the server pool directly; splice
-        # the server's own autoscale record into the replay payload.
-        autoscale_doc = gateway_stats.get("autoscale")
-        if autoscale_doc is not None:
-            run.payload["autoscale"] = {
-                "enabled": True,
-                "policy": autoscale_doc["policy"],
-                "scale_ups": int(gateway_stats["serve"]["scale_ups"]),
-                "scale_downs": int(gateway_stats["serve"]["scale_downs"]),
-                "engine_deaths": int(gateway_stats["serve"]["engine_deaths"]),
-                "redispatched": int(gateway_stats["serve"]["redispatched"]),
-                "events": autoscale_doc["events"],
-                "engine_lifetimes_s": [],
-            }
-            run.payload["engines"]["peak"] = int(autoscale_doc["peak_engines"])
     finally:
         server.close(drain=True)
 
@@ -176,23 +157,7 @@ def run_point(
         "wire": run.payload,
     }
     if compare_inprocess:
-        session = ServingSession(
-            artifact,
-            config=ServeConfig(
-                batch_window_s=float(batch_window_ms) / 1e3,
-                max_batch_size=int(max_batch_size),
-                record_batches=True,
-                engines=(
-                    1
-                    if policy is not None or pool == "process"
-                    else int(pool_size)
-                ),
-                autoscale=policy,
-                backend=backend,
-                pool=pool,
-                workers=int(pool_workers),
-            ),
-        )
+        session = ServingSession(artifact, config=spec.serve_config())
         try:
             baseline = replay_trace(
                 session, row_inputs, traffic, slo_ms=float(slo_ms)

@@ -211,8 +211,8 @@ def serve_replay_units(
     (``-int`` name suffix) and adds the rescale-bound parity check to
     every replayed request. ``pool="process"`` serves the batched
     replay from ``workers`` worker processes over one shared-memory
-    artifact (``-procN`` name suffix; supervised, so ``chaos`` works
-    without ``autoscale``).
+    artifact (``-procN`` name suffix), fixed or autoscaled. Every pool
+    is supervised, so ``chaos`` works with any of these.
     """
     units = []
     for bit in bits:

@@ -7,16 +7,18 @@ mixed-precision model reconstructed bit-exactly from the integer codes,
 and served by an :class:`~repro.serve.engine.InferenceEngine` whose
 dynamic micro-batching coalesces concurrent requests into shared
 forwards. The cache is **copy-on-lease**: every engine gets a private
-clone of the cached prototype, and
-:class:`~repro.serve.pool.ServingEnginePool` fans requests across any
-number of leased engines serving one artifact.
+clone of the cached prototype. One supervised
+:class:`~repro.serve.pool.EnginePool` fans requests across the
+engines; it is built from a *placement* — in-process threads
+(:class:`~repro.serve.pool.ThreadPlacement`) or worker processes
+executing straight from one shared-memory copy of the artifact
+(:class:`~repro.serve.procpool.ProcessPlacement`) — and an
+:class:`~repro.serve.pool.AutoscalePolicy`, where a fixed fan-out is
+a policy with ``min_engines == max_engines``.
 :class:`~repro.serve.session.ServingSession` is the synchronous facade
-(``ServeConfig.engines`` picks the fan-out, or
-``ServeConfig.autoscale`` hands the fan-out to an
-:class:`~repro.serve.pool.AutoscalingEnginePool` driven by queue
-depth, or ``ServeConfig.pool = "process"`` to a
-:class:`~repro.serve.procpool.ProcessEnginePool` of worker processes
-executing straight from one shared-memory copy of the artifact);
+(``ServeConfig`` picks placement and fan-out, and
+:func:`~repro.serve.session.resolve_policy` holds every rule about how
+those knobs combine);
 :mod:`~repro.serve.replay` generates request-replay load —
 closed-loop clients or seeded open-loop
 :class:`~repro.serve.trace.TrafficTrace` arrivals — and the sweepable
@@ -70,12 +72,11 @@ from repro.serve.integer import (
 from repro.serve.pool import (
     AutoscaleDecider,
     AutoscalePolicy,
-    AutoscalingEnginePool,
     EnginePool,
     ScaleEvent,
-    ServingEnginePool,
+    ThreadPlacement,
 )
-from repro.serve.procpool import ProcessEnginePool, ProcessWorkerHandle
+from repro.serve.procpool import ProcessPlacement, ProcessWorkerHandle
 from repro.serve.replay import (
     ReplayRun,
     cycle_inputs,
@@ -85,7 +86,7 @@ from repro.serve.replay import (
     replay_trace,
     verify_replay,
 )
-from repro.serve.session import ServeConfig, ServingSession
+from repro.serve.session import ServeConfig, ServingSession, resolve_policy
 from repro.serve.trace import (
     TRACE_KINDS,
     TraceConfig,
@@ -99,7 +100,6 @@ __all__ = [
     "ArtifactManifest",
     "AutoscaleDecider",
     "AutoscalePolicy",
-    "AutoscalingEnginePool",
     "DEFAULT_CACHE",
     "DEFAULT_SIDECAR_DTYPE",
     "EngineClosed",
@@ -111,7 +111,7 @@ __all__ = [
     "IntegerServingModel",
     "ModelLease",
     "PendingPrediction",
-    "ProcessEnginePool",
+    "ProcessPlacement",
     "ProcessWorkerHandle",
     "QueueFull",
     "ReplayRun",
@@ -122,10 +122,10 @@ __all__ = [
     "ServeStats",
     "SharedArtifactSegment",
     "ServingArtifact",
-    "ServingEnginePool",
     "ServingSession",
     "ShutdownTimeout",
     "TRACE_KINDS",
+    "ThreadPlacement",
     "TraceConfig",
     "TrafficTrace",
     "artifact_from_result",
@@ -144,6 +144,7 @@ __all__ = [
     "render_trace_replay",
     "replay_requests",
     "replay_trace",
+    "resolve_policy",
     "save_artifact",
     "serialize_artifact",
     "verify_integer_parity",

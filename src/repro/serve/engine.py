@@ -574,9 +574,9 @@ class InferenceEngine:
                 # The worker died rather than closed: whatever it left
                 # behind can never be answered here. Fail each stranded
                 # request loudly — closing a dead engine must not turn
-                # into a silent drop. (A supervised pool strips orphans
-                # with take_orphans() *before* closing, so this only
-                # fires for bare engines / unsupervised pools.)
+                # into a silent drop. (The pool's supervisor strips
+                # orphans with take_orphans() *before* closing, so this
+                # only fires for engines used outside a pool.)
                 orphans = self.take_orphans()
                 with self._cond:
                     # These requests are answered (with an error) right

@@ -1,44 +1,35 @@
-"""Multi-engine fan-out: N engines serving clones of one artifact.
+"""One supervised engine pool: a placement plus an autoscale policy.
 
-:class:`EnginePool` is the transport-agnostic execution interface —
-the exact surface :class:`~repro.serve.session.ServingSession`, the
-replay drivers, the gateway registry and the runner units consume
-(submit/drain/close/stats/engine_records plus the
-``supports_chaos``/``describe_scaling``/``peak_engines`` introspection
-hooks), so *where* an engine runs is a pluggable backend: the
-thread-backed pools below and the process-backed
-:class:`~repro.serve.procpool.ProcessEnginePool` are interchangeable
-everywhere a pool is consumed.
+:class:`EnginePool` is the only pool. It is built from two parts:
 
-:class:`ServingEnginePool` owns a set of
-:class:`~repro.serve.engine.InferenceEngine` instances — one per model
-clone, typically cut from a cached artifact with
-:meth:`~repro.serve.artifact.ArtifactCache.lease` — and fans incoming
-requests across them round-robin. Each engine keeps its own worker
-thread, queue and micro-batching window, so the pool multiplies the
-serving capacity of one packed artifact without any shared mutable
-state between engines: the only thing the engines share is the parsed
-(immutable) artifact their models were cloned from.
+* a **placement** — the only code that knows where an engine runs.
+  :class:`ThreadPlacement` leases a clone per engine and wraps it in an
+  :class:`~repro.serve.engine.InferenceEngine` worker thread;
+  :class:`~repro.serve.procpool.ProcessPlacement` spawns worker
+  processes over one shared-memory copy of the artifact. A placement
+  hands the pool ``(engine, model, lease)`` triples, and
+  ``can_replace`` says whether it can stand up another engine after a
+  death (a bare model cannot).
+* an :class:`AutoscalePolicy` — a fixed pool of N engines is just
+  ``AutoscalePolicy(min_engines=N, max_engines=N)``, which never makes
+  a scaling decision.
+
+The pool has one supervisor thread. Every ``policy.interval_s`` it
+sweeps for dead engines (crash or :meth:`EnginePool.chaos_kill`):
+death → orphans stripped → lease released → replacement spawned →
+orphans re-dispatched to live engines, or failed loudly with
+:class:`~repro.serve.engine.EngineDied`. No request is ever silently
+dropped. Only when ``min_engines < max_engines`` does it also sample
+queue depth and grow or shrink the rotation (hysteresis + cooldown via
+:class:`AutoscaleDecider`).
 
 Request identity: engine-local request ids collide across a pool, so
 every :class:`~repro.serve.engine.PendingPrediction` returned here
 carries ``engine_index`` — ``(engine_index, request_id)`` is the
 global identity, which is how the replay verifier maps answers back to
 the engine (and model clone) that produced them. Engine indices are
-stable for the pool's lifetime: an engine that dies or is retired by
-the autoscaler keeps its index, and replacements get fresh ones.
-
-:class:`AutoscalingEnginePool` extends the fixed pool with a
-supervisor thread that grows and shrinks the engine set from observed
-queue depth (hysteresis + cooldown via :class:`AutoscalePolicy`),
-leasing and releasing clones through
-:meth:`~repro.serve.artifact.ArtifactCache.lease`. The same supervisor
-is the pool's resilience story: a dead worker (crash or
-:meth:`~AutoscalingEnginePool.chaos_kill`) is detected, its lease
-released, a replacement leased, and its stranded requests re-dispatched
-to live engines — or failed loudly with
-:class:`~repro.serve.engine.EngineDied`. No request is ever silently
-dropped.
+stable for the pool's lifetime: an engine that dies or is retired
+keeps its index, and replacements get fresh ones.
 
 The pool's ``stats`` property aggregates the per-engine counters with
 :func:`~repro.serve.engine.combine_serve_stats` over **every engine
@@ -51,11 +42,12 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.nn.module import Module
+from repro.serve.artifact import ServingArtifact
 from repro.serve.engine import (
     EngineClosed,
     EngineDied,
@@ -78,7 +70,7 @@ class _EngineSlot:
 
     __slots__ = ("index", "engine", "model", "lease", "born_s", "retired_s", "fate")
 
-    def __init__(self, index: int, engine: InferenceEngine, model: Module, lease=None):
+    def __init__(self, index: int, engine, model: Module, lease=None):
         self.index = index
         self.engine = engine
         self.model = model
@@ -88,394 +80,8 @@ class _EngineSlot:
         self.fate = "alive"  # alive | retired | died | closed
 
 
-class EnginePool:
-    """The engine-facing execution surface every pool consumer assumes.
-
-    :class:`~repro.serve.session.ServingSession`, the replay drivers,
-    the gateway registry and the runner units all consume pools through
-    exactly this interface — submit/drain/close/stats/engine_records
-    plus the introspection hooks below — so thread-backed and
-    process-backed pools are interchangeable everywhere a pool is
-    consumed, with no ``isinstance`` branching on the consumer side.
-
-    Subclasses construct their engines however they like (in-process
-    :class:`~repro.serve.engine.InferenceEngine` worker threads, worker
-    *processes* behind a pipe — anything duck-typing the engine surface:
-    ``submit``/``adopt``/``start``/``drain``/``close``/``stats``/
-    ``queue_depth``/``worker_died``/``take_orphans``/``input_dtype``)
-    and register them with :meth:`_add_slot_locked`; the fan-out,
-    drain/close sweeps, stats merging and orphan re-dispatch machinery
-    here is shared.
-
-    Interface hooks with safe defaults:
-
-    * ``supports_chaos`` — whether :meth:`chaos_kill` is wired to a
-      supervisor that recovers the death (re-dispatch + replacement).
-      Fixed thread pools say ``False``; autoscaled and process pools
-      say ``True``.
-    * :meth:`describe_scaling` — the JSON-able scaling report for
-      replay payloads (``None`` for pools with a fixed engine set).
-    * :attr:`peak_engines` / :meth:`scale_events` — high-water mark and
-      event log; meaningful defaults for fixed pools.
-    """
-
-    supports_chaos = False
-    """Whether :meth:`chaos_kill` exists *and* a supervisor turns the
-    death into recovery rather than stranded requests."""
-
-    def __init__(self, autostart: bool = True):
-        self._started = bool(autostart)  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._next = 0  # guarded-by: _lock
-        self._slots: List[_EngineSlot] = []  # guarded-by: _lock
-        self._live: List[_EngineSlot] = []  # guarded-by: _lock
-        self._peak_engines = 0  # guarded-by: _lock
-
-    def _add_slot_locked(self, engine, model, lease=None) -> _EngineSlot:
-        """Put one more engine in the rotation.
-
-        Callers hold no pool state invariants across this; the slot
-        index is allocated from the all-time slot list so retired and
-        dead engines never have their identity reused.
-        """
-        with self._lock:
-            slot = _EngineSlot(len(self._slots), engine, model, lease)
-            self._slots.append(slot)
-            self._live.append(slot)
-            self._peak_engines = max(self._peak_engines, len(self._live))
-        return slot
-
-    # ------------------------------------------------------------------
-    # Introspection interface (overridden by supervised pools)
-    # ------------------------------------------------------------------
-    @property
-    def peak_engines(self) -> int:
-        """Most engines ever simultaneously live."""
-        with self._lock:
-            return self._peak_engines
-
-    def scale_events(self) -> List["ScaleEvent"]:
-        """Scaling/death event log (empty for fixed pools)."""
-        return []
-
-    def describe_scaling(self) -> Optional[Dict[str, object]]:
-        """JSON-able scaling report, or ``None`` for fixed pools.
-
-        This is what lets :func:`~repro.serve.replay.replay_trace`
-        report autoscale/supervision activity without knowing which
-        pool class it is driving.
-        """
-        return None
-
-    def chaos_kill(self, engine_index: Optional[int] = None) -> int:
-        """Kill a live engine's worker abruptly (supervised pools only)."""
-        raise RuntimeError(
-            f"{type(self).__name__} has no chaos hook — only supervised "
-            "pools (supports_chaos=True) can recover a killed worker"
-        )
-
-    # ------------------------------------------------------------------
-    @property
-    def engines(self) -> Tuple[InferenceEngine, ...]:
-        """Engines currently in the rotation (live), pool order."""
-        with self._lock:
-            return tuple(slot.engine for slot in self._live)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._live)
-
-    def engine_records(self) -> List[Tuple[int, InferenceEngine, Module]]:
-        """``(engine_index, engine, model)`` for every engine the pool
-        ever ran — including retired and dead ones, whose recorded
-        batches and stats remain readable. This is what replay
-        verification iterates: traffic served by an engine that later
-        left the rotation still has to replay bit-exact."""
-        with self._lock:
-            return [(slot.index, slot.engine, slot.model) for slot in self._slots]
-
-    def engine_lifetimes_s(self) -> List[Dict[str, object]]:
-        """Birth/retirement offsets (seconds since pool construction)
-        and fate of every engine the pool ever ran."""
-        with self._lock:
-            born0 = self._slots[0].born_s if self._slots else 0.0
-            return [
-                {
-                    "engine": slot.index,
-                    "born_s": slot.born_s - born0,
-                    "retired_s": (
-                        None if slot.retired_s is None else slot.retired_s - born0
-                    ),
-                    "fate": slot.fate,
-                }
-                for slot in self._slots
-            ]
-
-    @property
-    def input_dtype(self) -> np.dtype:
-        """The served models' compute dtype (identical across clones)."""
-        with self._lock:
-            return self._slots[0].engine.input_dtype
-
-    # ------------------------------------------------------------------
-    # Request side
-    # ------------------------------------------------------------------
-    def submit(self, x) -> PendingPrediction:
-        """Enqueue one input on the next live engine (round-robin).
-
-        If the rotation changes underneath us (an engine died or was
-        retired between picking it and submitting), the next live
-        engine is tried; :class:`EngineClosed` propagates only when no
-        live engine accepts. An engine at its ``max_pending`` budget is
-        likewise skipped for the next one — :class:`QueueFull`
-        propagates only once every live engine has shed the request,
-        so the pool's effective admission budget is the sum of its
-        engines'.
-        """
-        attempts = 0
-        full = 0
-        last_full: Optional[QueueFull] = None
-        while True:
-            with self._lock:
-                if not self._live:
-                    raise EngineClosed("pool has no live engines")
-                if attempts > len(self._live):
-                    raise EngineClosed("pool is closed")
-                if full >= len(self._live):
-                    raise last_full
-                slot = self._live[self._next % len(self._live)]
-                self._next += 1
-            try:
-                pending = slot.engine.submit(x)
-            except EngineClosed:
-                attempts += 1
-                continue
-            except QueueFull as exc:
-                full += 1
-                last_full = exc
-                continue
-            pending.engine_index = slot.index
-            return pending
-
-    def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
-        """Synchronous single prediction through the pool."""
-        return self.submit(x).result(timeout)
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start every live engine's worker thread (idempotent)."""
-        with self._lock:
-            live = list(self._live)
-            self._started = True
-        for slot in live:
-            slot.engine.start()
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Block until every live engine has answered its queued work.
-
-        With a ``timeout``, an expired pool deadline raises
-        :class:`TimeoutError` immediately, naming the engines that were
-        never waited on — later engines are not polled with zero-second
-        "waits" that can only misattribute the timeout to them.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            live = list(self._live)
-        for position, slot in enumerate(live):
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    unreached = [s.index for s in live[position:]]
-                    raise TimeoutError(
-                        f"pool drain deadline ({timeout} s) expired before "
-                        f"engines {unreached} were waited on"
-                    )
-            slot.engine.drain(timeout=remaining)
-
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut every engine down; the ``timeout`` bounds the whole pool.
-
-        Failure handling, in order of precedence:
-
-        * An engine whose ``close()`` raises something other than
-          :class:`ShutdownTimeout` does **not** abort the sweep — the
-          remaining engines are still closed (leaking their worker
-          threads because an unrelated engine failed would be strictly
-          worse), and the first such failure is re-raised afterwards.
-        * Engines that outlive their join window are collected; if the
-          pool deadline expires before an engine is even reached, it is
-          named as unreached rather than polled with a zero-second
-          join. Either way a single :class:`ShutdownTimeout` naming
-          them is raised — the pool is then *not* closed, and a later
-          ``close()`` keeps waiting, mirroring the single-engine
-          contract.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._lock:
-            slots = list(self._slots)
-        laggards: List[int] = []
-        unreached: List[int] = []
-        failures: List[Tuple[int, BaseException]] = []
-        for position, slot in enumerate(slots):
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    unreached = [s.index for s in slots[position:]]
-                    break
-            try:
-                slot.engine.close(drain=drain, timeout=remaining)
-            except ShutdownTimeout:
-                laggards.append(slot.index)
-                continue
-            except Exception as exc:
-                failures.append((slot.index, exc))
-                continue
-            with self._lock:
-                if slot.fate == "alive":
-                    slot.fate = "closed"
-                    slot.retired_s = time.monotonic()
-        if failures:
-            index, first = failures[0]
-            if len(failures) > 1 or laggards or unreached:
-                others = [i for i, _ in failures[1:]]
-                note = (
-                    f"while closing the pool: engine {index} failed"
-                    + (f"; engines {others} also failed" if others else "")
-                    + (f"; engines {laggards} timed out" if laggards else "")
-                    + (f"; engines {unreached} never reached" if unreached else "")
-                )
-                if hasattr(first, "add_note"):
-                    first.add_note(note)
-            raise first
-        if laggards or unreached:
-            raise ShutdownTimeout(
-                f"pool close deadline ({timeout} s) expired: "
-                f"engines {laggards} still running"
-                + (f", engines {unreached} never reached" if unreached else "")
-                + "; call close() again to keep waiting"
-            )
-
-    def __enter__(self) -> "EnginePool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    # ------------------------------------------------------------------
-    # Orphan rescue (shared by every supervised pool)
-    # ------------------------------------------------------------------
-    def _redispatch(self, dead_index: int, request) -> None:
-        """Re-dispatch one orphaned request of a dead engine.
-
-        Tries live engines round-robin via ``engine.adopt`` (the
-        request keeps its pending — the original caller's handle); if
-        none accepts, the pending is failed loudly with
-        :class:`EngineDied`. Either way the request is accounted for —
-        never silently dropped.
-        """
-        attempts = 0
-        while True:
-            with self._lock:
-                live = list(self._live)
-            if not live or attempts > len(live):
-                request.pending._finish(
-                    error=EngineDied(
-                        f"engine {dead_index} died and its request could "
-                        "not be re-dispatched (no live engine accepted it)"
-                    )
-                )
-                return
-            with self._lock:
-                if not self._live:
-                    continue
-                slot = self._live[self._next % len(self._live)]
-                self._next += 1
-            try:
-                slot.engine.adopt(request)
-            except EngineClosed:
-                attempts += 1
-                continue
-            request.pending.engine_index = slot.index
-            self._note_redispatch()
-            return
-
-    def _note_redispatch(self) -> None:
-        """Counter hook for subclasses that track re-dispatches."""
-
-    # ------------------------------------------------------------------
-    # Stats
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> ServeStats:
-        """Aggregated snapshot across every engine the pool ever ran."""
-        with self._lock:
-            slots = list(self._slots)
-        return combine_serve_stats(slot.engine.stats for slot in slots)
-
-    def per_engine_stats(self) -> List[ServeStats]:
-        """Unmerged snapshots of every engine ever run, slot order
-        (slot position == engine index)."""
-        with self._lock:
-            slots = list(self._slots)
-        return [slot.engine.stats for slot in slots]
-
-
-class ServingEnginePool(EnginePool):
-    """Round-robin request fan-out over independently batched engines.
-
-    Parameters mirror :class:`InferenceEngine`; each model in
-    ``models`` gets its own engine (and worker thread). The models must
-    be distinct objects — an engine's worker assumes exclusive
-    ownership of its model, which is exactly what copy-on-lease clones
-    provide.
-    """
-
-    def __init__(
-        self,
-        models: Sequence[Module],
-        batch_window_s: float = 0.002,
-        max_batch_size: int = 16,
-        record_batches: bool = False,
-        autostart: bool = True,
-        max_pending: Optional[int] = None,
-    ):
-        models = list(models)
-        if not models:
-            raise ValueError("pool needs at least one model")
-        if len(set(map(id, models))) != len(models):
-            raise ValueError(
-                "pool models must be distinct objects (lease one clone "
-                "per engine; engines assume exclusive ownership)"
-            )
-        self._batch_window_s = float(batch_window_s)
-        self._max_batch_size = int(max_batch_size)
-        self._record_batches = bool(record_batches)
-        self._max_pending = None if max_pending is None else int(max_pending)
-        """Per-engine admission budget handed to every engine the pool
-        ever stands up (initial, scale-up and death-replacement alike)."""
-        super().__init__(autostart=autostart)
-        for model in models:
-            self._add_engine_locked(model)
-
-    def _add_engine_locked(self, model: Module, lease=None) -> _EngineSlot:
-        """Stand up one more thread-backed engine in the rotation."""
-        engine = InferenceEngine(
-            model,
-            batch_window_s=self._batch_window_s,
-            max_batch_size=self._max_batch_size,
-            record_batches=self._record_batches,
-            autostart=self._started,
-            max_pending=self._max_pending,
-        )
-        return self._add_slot_locked(engine, model, lease)
-
-
 # ----------------------------------------------------------------------
-# Autoscaling
+# Policy
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class AutoscalePolicy:
@@ -487,7 +93,9 @@ class AutoscalePolicy:
     retires one (down to ``min_engines``). The gap between the two
     thresholds is the hysteresis band — inside it nothing happens — and
     ``cooldown_s`` must elapse after any scale event before the next,
-    so an oscillating queue cannot flap the pool.
+    so an oscillating queue cannot flap the pool. With
+    ``min_engines == max_engines`` the pool is fixed and the supervisor
+    only sweeps for deaths.
     """
 
     min_engines: int = 1
@@ -515,6 +123,11 @@ class AutoscalePolicy:
             raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
         if self.interval_s <= 0:
             raise ValueError(f"interval_s must be > 0, got {self.interval_s}")
+
+    @property
+    def scales(self) -> bool:
+        """Whether the policy can ever change the engine count."""
+        return self.min_engines < self.max_engines
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -558,7 +171,7 @@ class AutoscaleDecider:
 
 @dataclass(frozen=True)
 class ScaleEvent:
-    """One autoscaler action, offset from pool construction."""
+    """One supervisor action, offset from pool construction."""
 
     at_s: float
     action: str  # "up" | "down" | "death" | "replace"
@@ -579,22 +192,115 @@ class ScaleEvent:
         }
 
 
-class AutoscalingEnginePool(ServingEnginePool):
-    """A :class:`ServingEnginePool` that manages its own engine count.
+# ----------------------------------------------------------------------
+# Placement: where an engine runs
+# ----------------------------------------------------------------------
+class ThreadPlacement:
+    """In-process engines, one :class:`InferenceEngine` worker thread each.
 
-    Engines are leased from an :class:`~repro.serve.artifact.ArtifactCache`
-    (copy-on-lease clones of one artifact) and the pool owns every
-    lease: scale-downs, deaths and ``close()`` release them. A
-    supervisor thread drives :class:`AutoscaleDecider` with observed
-    queue depth and sweeps for dead workers:
+    Artifact-backed: every engine — initial, scale-up or replacement —
+    leases a private clone of ``source`` from ``cache``
+    (copy-on-lease), so the placement can always build another.
+    ``first_lease`` (an already-taken lease of the same artifact) is
+    used for the first engine instead of a fresh one.
+
+    Bare models (``source`` is a :class:`Module` or a sequence of
+    distinct ones): each model is served by exactly one engine and
+    cannot be replaced — an engine assumes exclusive ownership of its
+    model.
+    """
+
+    kind = "thread"
+
+    def __init__(
+        self,
+        source: Union[ServingArtifact, Module, Sequence[Module]],
+        cache=None,
+        backend: str = "float",
+        batch_window_s: float = 0.002,
+        max_batch_size: int = 16,
+        record_batches: bool = False,
+        max_pending: Optional[int] = None,
+        first_lease=None,
+    ):
+        self.cache = cache
+        self._backend = backend
+        self._engine_kwargs = dict(
+            batch_window_s=batch_window_s,
+            max_batch_size=max_batch_size,
+            record_batches=record_batches,
+            max_pending=max_pending,
+        )
+        self._first_lease = first_lease
+        if isinstance(source, ServingArtifact):
+            if cache is None:
+                raise ValueError("an artifact placement leases through a cache")
+            self._artifact = source
+            self._models: List[Module] = []
+            return
+        self._artifact = None
+        models = [source] if isinstance(source, Module) else list(source)
+        if not models:
+            raise ValueError("pool needs at least one model")
+        if len(set(map(id, models))) != len(models):
+            raise ValueError(
+                "pool models must be distinct objects (lease one clone "
+                "per engine; engines assume exclusive ownership)"
+            )
+        self._models = models
+
+    @property
+    def can_replace(self) -> bool:
+        return self.cache is not None
+
+    def spawn(self):
+        """An unstarted engine plus the model it serves and its lease."""
+        if self.cache is None:
+            if not self._models:
+                raise RuntimeError(
+                    "every bare model already has its engine; a bare-model "
+                    "placement cannot stand up another"
+                )
+            model, lease = self._models.pop(0), None
+        else:
+            lease, self._first_lease = self._first_lease, None
+            if lease is None:
+                lease = self.cache.lease(self._artifact, backend=self._backend)
+            model = lease.model
+        try:
+            engine = InferenceEngine(model, autostart=False, **self._engine_kwargs)
+        except BaseException:
+            if lease is not None:
+                lease.release()
+            raise
+        return engine, model, lease
+
+    def detach(self, engine) -> None:
+        """An engine left the rotation (death or retirement)."""
+
+    def close(self) -> None:
+        """Every engine is down; return an unused first lease."""
+        if self._first_lease is not None:
+            self._first_lease.release()
+
+
+# ----------------------------------------------------------------------
+# The pool
+# ----------------------------------------------------------------------
+class EnginePool:
+    """Round-robin fan-out over a supervised, optionally elastic, engine set.
+
+    ``placement`` builds the engines (see :class:`ThreadPlacement` and
+    :class:`~repro.serve.procpool.ProcessPlacement`); ``policy`` bounds
+    their count. The pool owns every lease its placement hands out: a
+    death, a scale-down and ``close()`` release them.
 
     * **death** — the slot leaves the rotation, its orphaned requests
-      are stripped, its lease is released, a replacement is leased
-      (unless the pool is closing), and the orphans are re-dispatched
-      to live engines — or answered with :class:`EngineDied` if none
-      can take them. Either way every request is accounted for.
-    * **scale up** — lease a clone, stand up an engine (started iff
-      the pool is started).
+      are stripped, its lease is released, a replacement is spawned
+      (unless the pool is closing or the placement cannot replace),
+      and the orphans are re-dispatched to live engines — or answered
+      with :class:`EngineDied` if none can take them.
+    * **scale up** — spawn one more engine (started iff the pool is).
     * **scale down** — the newest live engine is retired: removed from
       the rotation, drained, closed, lease released.
 
@@ -602,72 +308,349 @@ class AutoscalingEnginePool(ServingEnginePool):
     path's test hook — also exposed as ``repro serve --chaos``).
     """
 
-    supports_chaos = True
-
-    def __init__(
-        self,
-        artifact,
-        cache,
-        policy: Optional[AutoscalePolicy] = None,
-        batch_window_s: float = 0.002,
-        max_batch_size: int = 16,
-        record_batches: bool = False,
-        autostart: bool = True,
-        backend: str = "float",
-        max_pending: Optional[int] = None,
-    ):
-        policy = policy if policy is not None else AutoscalePolicy()
-        self._artifact = artifact
-        self._cache = cache
-        self._backend = backend
-        """Execution backend every lease of this pool uses — initial
-        engines, scale-ups and death replacements alike, so a recovered
-        pool keeps serving the backend it was asked for."""
+    def __init__(self, placement, policy: AutoscalePolicy, autostart: bool = True):
+        if policy.scales and not placement.can_replace:
+            raise ValueError(
+                "an autoscaled pool needs a placement that can build more "
+                "engines (an artifact source, not a bare model)"
+            )
+        self.placement = placement
         self.policy = policy
         self._decider = AutoscaleDecider(policy)
-        # _events/_counters are mutated only by the single supervisor
-        # thread (and by close() after joining it); readers take
-        # GIL-atomic list/dict snapshots. _pool_closing is a monotonic
-        # flag. None of them needs _lock — deliberately undeclared.
-        self._events: List[ScaleEvent] = []
-        self._counters = {"ups": 0, "downs": 0, "deaths": 0, "redispatched": 0}
-        self._pool_closing = False
+        # A condition, so submitters can wait out a replacement in flight.
+        self._lock = threading.Condition(threading.Lock())
+        self._started = bool(autostart)  # guarded-by: _lock
+        self._next = 0  # guarded-by: _lock
+        self._slots: List[_EngineSlot] = []  # guarded-by: _lock
+        self._live: List[_EngineSlot] = []  # guarded-by: _lock
+        self._peak_engines = 0  # guarded-by: _lock
+        self._events: List[ScaleEvent] = []  # guarded-by: _lock
+        self._redispatched = 0  # guarded-by: _lock
+        self._replacing = 0  # guarded-by: _lock
+        # A monotonic flag: set once by close(), never cleared.
+        self._closing = False
         self._supervisor_error: Optional[BaseException] = None
         self._stop = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
-        leases = []
         try:
             for _ in range(policy.min_engines):
-                leases.append(cache.lease(artifact, backend=backend))
-            super().__init__(
-                [lease.model for lease in leases],
-                batch_window_s=batch_window_s,
-                max_batch_size=max_batch_size,
-                record_batches=record_batches,
-                autostart=autostart,
-                max_pending=max_pending,
-            )
+                self._add_engine()
         except BaseException:
-            for lease in leases:
-                lease.release()
+            for slot in self._slots_snapshot():
+                try:
+                    slot.engine.close(drain=False, timeout=5.0)
+                # Best-effort teardown of a partially built pool: the
+                # original construction error must propagate, not this.
+                except Exception:  # repro: allow(bare-except)
+                    pass
+                if slot.lease is not None:
+                    slot.lease.release()
+            placement.close()
             raise
-        with self._lock:
-            for slot, lease in zip(self._slots, leases):
-                slot.lease = lease
-            self._born_s = self._slots[0].born_s
+        self._born_s = self._slots_snapshot()[0].born_s
         if autostart:
             self._start_supervisor()
 
+    def _slots_snapshot(self) -> List[_EngineSlot]:
+        with self._lock:
+            return list(self._slots)
+
+    def _add_engine(self) -> _EngineSlot:
+        """Spawn one more engine and put it in the rotation.
+
+        The slot index is allocated from the all-time slot list, so
+        retired and dead engines never have their identity reused. The
+        started flag is read after enrolling: a concurrent ``start()``
+        either saw this slot or had already set the flag read here.
+        """
+        engine, model, lease = self.placement.spawn()
+        with self._lock:
+            slot = _EngineSlot(len(self._slots), engine, model, lease)
+            self._slots.append(slot)
+            self._live.append(slot)
+            self._peak_engines = max(self._peak_engines, len(self._live))
+            started = self._started
+        if started:
+            engine.start()
+        return slot
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def supports_chaos(self) -> bool:
+        """Whether a killed engine can be replaced (the placement can
+        build another), so :meth:`chaos_kill` ends in recovery."""
+        return self.placement.can_replace
+
+    @property
+    def peak_engines(self) -> int:
+        """Most engines ever simultaneously live."""
+        with self._lock:
+            return self._peak_engines
+
+    def scale_events(self) -> List[ScaleEvent]:
+        """Scaling/death event log."""
+        with self._lock:
+            return list(self._events)
+
+    def describe_scaling(self) -> Dict[str, object]:
+        """JSON-able scaling and supervision report, one shape for every
+        pool (``enabled`` says whether the policy can scale)."""
+        stats = self.stats
+        return {
+            "enabled": self.policy.scales,
+            "placement": self.placement.kind,
+            "policy": self.policy.to_dict(),
+            "engines": len(self),
+            "peak_engines": self.peak_engines,
+            "scale_ups": stats.scale_ups,
+            "scale_downs": stats.scale_downs,
+            "engine_deaths": stats.engine_deaths,
+            "redispatched": stats.redispatched,
+            "events": [event.to_dict() for event in self.scale_events()],
+            "engine_lifetimes_s": self.engine_lifetimes_s(),
+        }
+
+    @property
+    def engines(self) -> Tuple[InferenceEngine, ...]:
+        """Engines currently in the rotation (live), pool order."""
+        with self._lock:
+            return tuple(slot.engine for slot in self._live)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._live)
+
+    def engine_records(self) -> List[Tuple[int, InferenceEngine, Module]]:
+        """``(engine_index, engine, model)`` for every engine the pool
+        ever ran — including retired and dead ones, whose recorded
+        batches and stats remain readable. This is what replay
+        verification iterates: traffic served by an engine that later
+        left the rotation still has to replay bit-exact."""
+        return [(slot.index, slot.engine, slot.model) for slot in self._slots_snapshot()]
+
+    def engine_lifetimes_s(self) -> List[Dict[str, object]]:
+        """Birth/retirement offsets (seconds since pool construction)
+        and fate of every engine the pool ever ran."""
+        with self._lock:
+            born0 = self._slots[0].born_s if self._slots else 0.0
+            return [
+                {
+                    "engine": slot.index,
+                    "born_s": slot.born_s - born0,
+                    "retired_s": (
+                        None if slot.retired_s is None else slot.retired_s - born0
+                    ),
+                    "fate": slot.fate,
+                }
+                for slot in self._slots
+            ]
+
+    @property
+    def input_dtype(self) -> np.dtype:
+        """The served models' compute dtype (identical across clones)."""
+        with self._lock:
+            return self._slots[0].engine.input_dtype
+
+    # ------------------------------------------------------------------
+    # Request side
+    # ------------------------------------------------------------------
+    def submit(self, x) -> PendingPrediction:
+        """Enqueue one input on the next live engine (round-robin).
+
+        If the rotation changes underneath us (an engine died or was
+        retired between picking it and submitting), the next live
+        engine is tried; :class:`EngineClosed` propagates only when no
+        live engine accepts. An engine at its ``max_pending`` budget is
+        likewise skipped for the next one — :class:`QueueFull`
+        propagates only once every live engine has shed the request,
+        so the pool's effective admission budget is the sum of its
+        engines'. A dead engine never fails the caller while the pool
+        can replace it: submit waits for a replacement in flight, or
+        sweeps the death itself.
+        """
+        attempts = 0
+        full = 0
+        last_full: Optional[QueueFull] = None
+        swept = False
+        while True:
+            with self._lock:
+                # A dead engine's replacement is being built: wait for
+                # it to join the rotation rather than fail the caller.
+                while self._replacing and (not self._live or attempts > len(self._live)):
+                    self._lock.wait()
+                    attempts = 0
+                if not self._live:
+                    raise EngineClosed("pool has no live engines")
+                refused = attempts > len(self._live)
+                if refused and (swept or self._closing):
+                    raise EngineClosed("pool is closed")
+                if full >= len(self._live):
+                    raise last_full
+                if not refused:
+                    slot = self._live[self._next % len(self._live)]
+                    self._next += 1
+            if refused:
+                # Every live engine refused: a dead worker the
+                # supervisor has not swept yet (a process worker turns
+                # submits away once its pipe breaks). Sweep — and
+                # replace — here rather than strand the caller.
+                swept = True
+                attempts = 0
+                self._sweep_deaths()
+                continue
+            try:
+                pending = slot.engine.submit(x)
+            except EngineClosed:
+                attempts += 1
+                continue
+            except QueueFull as exc:
+                full += 1
+                last_full = exc
+                continue
+            pending.engine_index = slot.index
+            return pending
+
+    def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
+        """Synchronous single prediction through the pool."""
+        return self.submit(x).result(timeout)
+
+    # ------------------------------------------------------------------
+    # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        super().start()
+        """Start every live engine and the supervisor (idempotent)."""
+        with self._lock:
+            live = list(self._live)
+            self._started = True
+        for slot in live:
+            slot.engine.start()
         self._start_supervisor()
 
+    def drain(self, timeout: Optional[float] = None) -> None:
+        """Block until every live engine has answered its queued work.
+
+        With a ``timeout``, an expired pool deadline raises
+        :class:`TimeoutError` immediately, naming the engines that were
+        never waited on — later engines are not polled with zero-second
+        "waits" that can only misattribute the timeout to them.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._lock:
+            live = list(self._live)
+        for position, slot in enumerate(live):
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    unreached = [s.index for s in live[position:]]
+                    raise TimeoutError(
+                        f"pool drain deadline ({timeout} s) expired before "
+                        f"engines {unreached} were waited on"
+                    )
+            slot.engine.drain(timeout=remaining)
+
+    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        """Stop the supervisor, rescue any last orphans, shut every
+        engine down, release the leases, then close the placement; the
+        ``timeout`` bounds the whole pool.
+
+        Failure handling, in order of precedence:
+
+        * An engine whose ``close()`` raises something other than
+          :class:`ShutdownTimeout` does **not** abort the sweep — the
+          remaining engines are still closed (leaking their workers
+          because an unrelated engine failed would be strictly worse),
+          and the first such failure is re-raised afterwards.
+        * Engines that outlive their join window are collected; if the
+          pool deadline expires before an engine is even reached, it is
+          named as unreached rather than polled with a zero-second
+          join. Either way a single :class:`ShutdownTimeout` naming
+          them is raised — the pool is then *not* closed, and a later
+          ``close()`` keeps waiting, mirroring the single-engine
+          contract.
+
+        A lease is released once its engine is no longer serving the
+        clone, so a laggard keeps its lease until a retried ``close()``
+        succeeds; the placement (for processes: the shared segment) is
+        closed only once every engine is down.
+        """
+        self._closing = True
+        self._stop.set()
+        supervisor = self._supervisor
+        if supervisor is not None and supervisor.is_alive():
+            supervisor.join()
+        # Final death sweep without replacement: orphans are
+        # re-dispatched to the engines we are about to drain-close (they
+        # still answer their queues), or failed loudly if none is live.
+        self._sweep_deaths(replace=False)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        slots = self._slots_snapshot()
+        laggards: List[int] = []
+        unreached: List[int] = []
+        failures: List[Tuple[int, BaseException]] = []
+        for position, slot in enumerate(slots):
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    unreached = [s.index for s in slots[position:]]
+                    break
+            try:
+                slot.engine.close(drain=drain, timeout=remaining)
+            except ShutdownTimeout:
+                laggards.append(slot.index)
+                continue
+            except Exception as exc:
+                failures.append((slot.index, exc))
+            else:
+                with self._lock:
+                    if slot.fate == "alive":
+                        slot.fate = "closed"
+                        slot.retired_s = time.monotonic()
+            if slot.lease is not None:
+                slot.lease.release()
+        if failures:
+            index, first = failures[0]
+            if len(failures) > 1 or laggards or unreached:
+                others = [i for i, _ in failures[1:]]
+                note = (
+                    f"while closing the pool: engine {index} failed"
+                    + (f"; engines {others} also failed" if others else "")
+                    + (f"; engines {laggards} timed out" if laggards else "")
+                    + (f"; engines {unreached} never reached" if unreached else "")
+                )
+                if hasattr(first, "add_note"):
+                    first.add_note(note)
+            raise first
+        if laggards or unreached:
+            raise ShutdownTimeout(
+                f"pool close deadline ({timeout} s) expired: "
+                f"engines {laggards} still running"
+                + (f", engines {unreached} never reached" if unreached else "")
+                + "; call close() again to keep waiting"
+            )
+        self.placement.close()
+        if self._supervisor_error is not None:
+            error = self._supervisor_error
+            self._supervisor_error = None
+            raise RuntimeError("pool supervisor died mid-run") from error
+
+    def __enter__(self) -> "EnginePool":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(drain=exc_type is None)
+
+    # ------------------------------------------------------------------
+    # Supervision
+    # ------------------------------------------------------------------
     def _start_supervisor(self) -> None:
-        if self._supervisor is not None or self._pool_closing:
+        if self._supervisor is not None or self._closing:
             return
         self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-serve-autoscaler", daemon=True
+            target=self._supervise, name="repro-serve-supervisor", daemon=True
         )
         self._supervisor.start()
 
@@ -675,16 +658,14 @@ class AutoscalingEnginePool(ServingEnginePool):
         while not self._stop.wait(self.policy.interval_s):
             try:
                 self._sweep_deaths()
-                self._consider_scaling()
+                if self.policy.scales:
+                    self._consider_scaling()
             except BaseException as exc:
                 # A broken supervisor must not die silently: remember
                 # the failure (close() re-raises it) and stop driving.
                 self._supervisor_error = exc
                 return
 
-    # ------------------------------------------------------------------
-    # Death handling
-    # ------------------------------------------------------------------
     def _sweep_deaths(self, replace: bool = True) -> None:
         with self._lock:
             live = list(self._live)
@@ -692,59 +673,97 @@ class AutoscalingEnginePool(ServingEnginePool):
             if slot.engine.worker_died:
                 self._handle_death(slot, replace=replace)
 
+    def _leave_rotation_locked(self, slot: _EngineSlot, fate: str, now: float) -> int:
+        """Take a live slot out of the rotation; live engines after."""
+        self._live.remove(slot)
+        slot.fate = fate
+        slot.retired_s = now
+        return len(self._live)
+
+    def _record(self, action: str, engines: int, depth: float, index: int) -> None:
+        event = ScaleEvent(time.monotonic() - self._born_s, action, engines, depth, index)
+        with self._lock:
+            self._events.append(event)
+
     def _handle_death(self, slot: _EngineSlot, replace: bool = True) -> None:
-        now = time.monotonic()
+        replace = replace and not self._closing and self.placement.can_replace
         with self._lock:
             if slot not in self._live:
                 return
-            self._live.remove(slot)
-            slot.fate = "died"
-            slot.retired_s = now
-            engines_now = len(self._live)
+            engines_now = self._leave_rotation_locked(slot, "died", time.monotonic())
+            self._replacing += replace
         orphans = slot.engine.take_orphans()
+        self.placement.detach(slot.engine)
         if slot.lease is not None:
             slot.lease.release()
-        self._counters["deaths"] += 1
-        self._events.append(
-            ScaleEvent(now - self._born_s, "death", engines_now, 0.0, slot.index)
-        )
+        self._record("death", engines_now, 0.0, slot.index)
         replace_error: Optional[BaseException] = None
-        if replace and not self._pool_closing:
+        if replace:
             try:
-                lease = self._cache.lease(self._artifact, backend=self._backend)
-                new_slot = self._add_engine_locked(lease.model, lease)
+                new_slot = self._add_engine()
             except Exception as exc:
                 # A failed replacement must not strand the orphans —
                 # re-dispatch to whatever is still live (or fail each
-                # loudly below), then surface the lease failure.
+                # loudly below), then surface the failure.
                 replace_error = exc
             else:
+                self._record("replace", len(self), 0.0, new_slot.index)
+            finally:
                 with self._lock:
-                    engines_now = len(self._live)
-                self._events.append(
-                    ScaleEvent(
-                        time.monotonic() - self._born_s,
-                        "replace",
-                        engines_now,
-                        0.0,
-                        new_slot.index,
-                    )
-                )
+                    self._replacing -= 1
+                    self._lock.notify_all()
         for request in orphans:
             self._redispatch(slot.index, request)
         if replace_error is not None:
             raise replace_error
 
-    def _note_redispatch(self) -> None:
-        self._counters["redispatched"] += 1
+    def _redispatch(self, dead_index: int, request) -> None:
+        """Re-dispatch one orphaned request of a dead engine.
+
+        Tries live engines round-robin via ``engine.adopt`` (the
+        request keeps its pending — the original caller's handle); if
+        none accepts, the pending is failed loudly with
+        :class:`EngineDied`. Either way the request is accounted for —
+        never silently dropped.
+        """
+        attempts = 0
+        while True:
+            with self._lock:
+                if not self._live or attempts > len(self._live):
+                    slot = None
+                else:
+                    slot = self._live[self._next % len(self._live)]
+                    self._next += 1
+            if slot is None:
+                request.pending._finish(
+                    error=EngineDied(
+                        f"engine {dead_index} died and its request could "
+                        "not be re-dispatched (no live engine accepted it)"
+                    )
+                )
+                return
+            try:
+                slot.engine.adopt(request)
+            except EngineClosed:
+                attempts += 1
+                continue
+            request.pending.engine_index = slot.index
+            with self._lock:
+                self._redispatched += 1
+            return
 
     def chaos_kill(self, engine_index: Optional[int] = None) -> int:
         """Kill a live engine's worker abruptly; returns its index.
 
         The supervisor then detects the death, releases the lease,
-        leases a replacement and rescues the stranded requests — that
+        spawns a replacement and rescues the stranded requests — that
         whole path is what this hook exists to exercise.
         """
+        if not self.supports_chaos:
+            raise RuntimeError(
+                "this pool cannot replace a killed engine (a bare-model "
+                "placement); chaos needs an artifact source"
+            )
         with self._lock:
             if not self._live:
                 raise RuntimeError("no live engines to kill")
@@ -758,99 +777,49 @@ class AutoscalingEnginePool(ServingEnginePool):
         slot.engine.kill()
         return slot.index
 
-    # ------------------------------------------------------------------
-    # Scaling
-    # ------------------------------------------------------------------
     def _consider_scaling(self) -> None:
         with self._lock:
             live = list(self._live)
-        if not live or self._pool_closing:
+        if not live or self._closing:
             return
         depth = sum(slot.engine.queue_depth for slot in live) / len(live)
-        now = time.monotonic()
-        action = self._decider.observe(depth, len(live), now)
+        action = self._decider.observe(depth, len(live), time.monotonic())
         if action == "up":
-            lease = self._cache.lease(self._artifact, backend=self._backend)
-            slot = self._add_engine_locked(lease.model, lease)
-            with self._lock:
-                engines_now = len(self._live)
-            self._counters["ups"] += 1
-            self._events.append(
-                ScaleEvent(now - self._born_s, "up", engines_now, depth, slot.index)
-            )
+            slot = self._add_engine()
+            self._record("up", len(self), depth, slot.index)
         elif action == "down":
             with self._lock:
                 if len(self._live) <= self.policy.min_engines:
                     return
                 slot = self._live[-1]  # newest first: LIFO keeps index 0 stable
-                self._live.remove(slot)
-                slot.fate = "retired"
-                slot.retired_s = now
-                engines_now = len(self._live)
-            self._counters["downs"] += 1
-            self._events.append(
-                ScaleEvent(now - self._born_s, "down", engines_now, depth, slot.index)
-            )
+                engines_now = self._leave_rotation_locked(
+                    slot, "retired", time.monotonic()
+                )
+            self._record("down", engines_now, depth, slot.index)
             # Retired engines drain gracefully — a scale-down never
             # drops or delays already-accepted work.
             slot.engine.close(drain=True)
+            self.placement.detach(slot.engine)
             if slot.lease is not None:
                 slot.lease.release()
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Stats
     # ------------------------------------------------------------------
-    def scale_events(self) -> List[ScaleEvent]:
-        return list(self._events)
-
-    def describe_scaling(self) -> Dict[str, object]:
-        """The replay payload's autoscale section (see base class)."""
-        stats = self.stats
-        return {
-            "enabled": True,
-            "policy": self.policy.to_dict(),
-            "scale_ups": stats.scale_ups,
-            "scale_downs": stats.scale_downs,
-            "engine_deaths": stats.engine_deaths,
-            "redispatched": stats.redispatched,
-            "events": [event.to_dict() for event in self.scale_events()],
-            "engine_lifetimes_s": self.engine_lifetimes_s(),
-        }
-
     @property
     def stats(self) -> ServeStats:
-        merged = super().stats
-        merged.scale_ups = self._counters["ups"]
-        merged.scale_downs = self._counters["downs"]
-        merged.engine_deaths = self._counters["deaths"]
-        merged.redispatched = self._counters["redispatched"]
+        """Aggregated snapshot across every engine the pool ever ran,
+        plus the supervisor's scale/death counters."""
+        merged = combine_serve_stats(slot.engine.stats for slot in self._slots_snapshot())
+        with self._lock:
+            actions = [event.action for event in self._events]
+            merged.redispatched = self._redispatched
+        merged.scale_ups = actions.count("up")
+        merged.scale_downs = actions.count("down")
+        merged.engine_deaths = actions.count("death")
         return merged
 
-    # ------------------------------------------------------------------
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop the supervisor, rescue any last orphans, close every
-        engine, then release the remaining leases.
-
-        Leases are only released after the close sweep succeeds — a
-        :class:`ShutdownTimeout` leaves the laggards' leases held, and
-        the retried ``close()`` releases them (release is idempotent).
-        """
-        self._pool_closing = True
-        self._stop.set()
-        supervisor = self._supervisor
-        if supervisor is not None and supervisor.is_alive():
-            supervisor.join()
-        # Final death sweep without replacement: orphans are
-        # re-dispatched to the engines we are about to drain-close (they
-        # still answer their queues), or failed loudly if none is live.
-        self._sweep_deaths(replace=False)
-        super().close(drain=drain, timeout=timeout)
-        with self._lock:
-            slots = list(self._slots)
-        for slot in slots:
-            if slot.lease is not None:
-                slot.lease.release()
-        if self._supervisor_error is not None:
-            error = self._supervisor_error
-            self._supervisor_error = None
-            raise RuntimeError("autoscale supervisor died mid-run") from error
+    def per_engine_stats(self) -> List[ServeStats]:
+        """Unmerged snapshots of every engine ever run, slot order
+        (slot position == engine index)."""
+        return [slot.engine.stats for slot in self._slots_snapshot()]

@@ -1,25 +1,27 @@
-"""Process-backed serving: worker processes over zero-copy artifacts.
+"""Process placement: worker processes over zero-copy artifacts.
 
-The thread-backed pools in :mod:`repro.serve.pool` multiply queueing
-capacity but not compute — the pure-numpy forwards of every engine
-contend on one GIL. :class:`ProcessEnginePool` moves each engine into
-its own **worker process** behind the same
-:class:`~repro.serve.pool.EnginePool` interface, so sessions, replay
-drivers and the gateway cannot tell the difference while forwards run
-truly in parallel.
+Thread engines multiply queueing capacity but not compute — the
+pure-numpy forwards of every engine contend on one GIL.
+:class:`ProcessPlacement` is the placement that puts each engine of an
+:class:`~repro.serve.pool.EnginePool` in its own **worker process**, so
+sessions, replay drivers and the gateway cannot tell the difference
+while forwards run truly in parallel. Supervision, autoscaling and
+chaos recovery are the pool's; this module only knows how to start,
+reap and address a worker.
 
 Three design points carry the module:
 
-* **Zero-copy artifact sharing.** The parent copies the artifact's
+* **Zero-copy artifact sharing.** The placement copies the artifact's
   serialized bytes into one
   :class:`~repro.serve.artifact.SharedArtifactSegment` (the only copy
   ever made) and workers attach by name, verify the content hash, and
   parse the CQW1/CQS2 container *in place* with ``np.frombuffer`` views
   over the mapping. N workers share one physical copy of the packed
   codes; each worker's reconstructed float weights (or compiled integer
-  specs) are deliberately process-private. The parent owns the segment
-  name and unlinks it on ``close()`` — after that, attaching the name
-  fails, which is exactly what the shm-leak test asserts.
+  specs) are deliberately process-private. The placement owns the
+  segment name and unlinks it when the pool closes — after that,
+  attaching the name fails, which is exactly what the shm-leak test
+  asserts.
 
 * **Pickle-free wire format.** Requests and answers travel over a
   duplex pipe as struct-framed binary messages
@@ -29,20 +31,14 @@ Three design points carry the module:
   beyond the struct header, and both ends stay bit-exact because the
   bytes on the wire *are* the array bytes the models see.
 
-* **Crash supervision (the PR 6 chaos contract, across processes).**
-  A supervisor thread sweeps for dead workers (SIGKILL'd, crashed, or
-  chaos-killed via :meth:`ProcessEnginePool.chaos_kill`):
-  death → detected → lease + shm attach accounting released →
-  replacement spawned → orphaned requests re-dispatched to live
-  workers — or failed loudly with
-  :class:`~repro.serve.engine.EngineDied`. Never silently dropped.
-  Executed-batch records live parent-side (derived from the answer
-  stream), so a dead worker's batches remain replayable and
-  :func:`~repro.serve.replay.verify_replay` still reaches full
-  coverage after a mid-replay kill: the parent holds a bit-identical
-  lease clone of every worker's model, and artifact reconstruction is
-  deterministic, so the parent can replay worker-served batches
-  bit-exactly.
+* **Parent-side accounting.** :class:`ProcessWorkerHandle` duck-types
+  the thread engine, and its executed-batch records live parent-side
+  (derived from the answer stream), so a dead worker's batches remain
+  replayable and :func:`~repro.serve.replay.verify_replay` still
+  reaches full coverage after a mid-replay kill: the parent holds a
+  bit-identical lease clone of every worker's model, and artifact
+  reconstruction is deterministic, so the parent can replay
+  worker-served batches bit-exactly.
 """
 
 from __future__ import annotations
@@ -67,7 +63,6 @@ from repro.serve.engine import (
     _model_input_dtype,
     _QueuedRequest,
 )
-from repro.serve.pool import EnginePool, ScaleEvent, _EngineSlot
 
 # ----------------------------------------------------------------------
 # Wire format (struct-framed, little-endian, no pickle)
@@ -81,6 +76,9 @@ _MSG_READY = 0
 _MSG_BATCH = 1
 _MSG_CLOSED = 2
 _MSG_FATAL = 3
+
+#: How long a spawned worker may take to map, parse and build the artifact.
+_READY_TIMEOUT_S = 120.0
 
 _PREDICT_HEAD = "<BQB"  # op, rid, ndim
 _BATCH_HEAD = "<BBdHI"  # op, status, service_s, acc_bits, count
@@ -609,48 +607,43 @@ class ProcessWorkerHandle:
             return list(self._batches)
 
 
-# ----------------------------------------------------------------------
-# The pool
-# ----------------------------------------------------------------------
-class ProcessEnginePool(EnginePool):
-    """N worker processes serving one shared-memory artifact.
 
-    Construction: the artifact's bytes go into one shared segment;
-    each worker attaches, parses zero-copy, builds its private model
-    and serves its pipe. The parent additionally holds one
-    :meth:`~repro.serve.artifact.ArtifactCache.lease` per worker — the
-    bit-identical *verification twin* of the worker's model (artifact
-    reconstruction is deterministic), which is what lets
-    :func:`~repro.serve.replay.verify_replay` replay worker-served
-    batches bit-exactly without any cross-process model shipping, and
-    keeps cache lease accounting identical to the thread pools.
 
-    Supervision mirrors :class:`~repro.serve.pool.AutoscalingEnginePool`:
-    a supervisor thread sweeps for dead workers and runs
-    death → lease/shm release → replacement → orphan re-dispatch.
-    ``close()`` shuts every worker down, releases the leases and
-    unlinks the segment (the shm-leak guard: attaching the name
-    afterwards fails).
+# ----------------------------------------------------------------------
+# The placement
+# ----------------------------------------------------------------------
+class ProcessPlacement:
+    """Worker processes over one shared-memory copy of the artifact.
+
+    Construction copies the artifact's bytes into one shared segment;
+    each :meth:`spawn` forks a worker that attaches, parses zero-copy,
+    builds its private model and serves its pipe. The parent leases one
+    clone per worker from ``cache`` — the bit-identical *verification
+    twin* of the worker's model (artifact reconstruction is
+    deterministic), which lets :func:`~repro.serve.replay.verify_replay`
+    replay worker-served batches bit-exactly without shipping models
+    across processes, and keeps lease accounting identical to the
+    thread placement. ``first_lease`` (an already-taken lease of the
+    same artifact) becomes the first twin.
+
+    :meth:`close` unlinks the segment — after that, attaching its name
+    fails, which is what the shm-leak tests assert.
     """
 
-    supports_chaos = True
+    kind = "process"
+    can_replace = True
 
     def __init__(
         self,
         artifact: ServingArtifact,
         cache,
-        workers: int = 2,
+        backend: str = "float",
         batch_window_s: float = 0.002,
         max_batch_size: int = 16,
         record_batches: bool = False,
-        autostart: bool = True,
-        backend: str = "float",
         max_pending: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        ready_timeout_s: float = 120.0,
+        first_lease=None,
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         if artifact.data is None:
             raise ValueError(
                 "artifact holds no serialized bytes — a process pool maps "
@@ -658,54 +651,28 @@ class ProcessEnginePool(EnginePool):
             )
         import multiprocessing
 
-        if mp_context is None:
-            mp_context = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        mp_context = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(mp_context)
         self._untrack_on_attach = mp_context != "fork"
         self._artifact = artifact
-        self._cache = cache
+        self.cache = cache
         self._backend = backend
         self._batch_window_s = float(batch_window_s)
         self._max_batch_size = int(max_batch_size)
         self._record_batches = bool(record_batches)
         self._max_pending = None if max_pending is None else int(max_pending)
-        self._ready_timeout_s = float(ready_timeout_s)
-        # _events/_counters are mutated only by the single supervisor
-        # thread (and by close()/construction before it runs); readers
-        # take GIL-atomic snapshots. _pool_closing is a monotonic flag.
-        self._events: List[ScaleEvent] = []
-        self._counters = {"deaths": 0, "redispatched": 0}
-        self._pool_closing = False
-        self._supervisor_error: Optional[BaseException] = None
-        self._stop = threading.Event()
-        self._supervisor: Optional[threading.Thread] = None
-        self._shm_attached = 0  # guarded-by: _lock
-        self._shm_detached_total = 0  # guarded-by: _lock
-        super().__init__(autostart=autostart)
+        self._first_lease = first_lease
+        self._lock = threading.Lock()
+        self._attached = 0  # guarded-by: _lock
+        self._detached_total = 0  # guarded-by: _lock
         self.segment = SharedArtifactSegment.create(artifact.data)
-        try:
-            for _ in range(workers):
-                self._spawn_worker()
-        except BaseException:
-            for slot in list(self._slots):
-                try:
-                    slot.engine.close(drain=False, timeout=5.0)
-                # Best-effort teardown of partially-spawned workers:
-                # the original spawn error must propagate, not this.
-                except Exception:  # repro: allow(bare-except)
-                    pass
-                if slot.lease is not None:
-                    slot.lease.release()
-            self.segment.close()
-            self.segment.unlink()
-            raise
-        self._born_s = self._slots[0].born_s
-        self._start_supervisor()
 
-    # ------------------------------------------------------------------
-    def _spawn_worker(self) -> _EngineSlot:
-        """Lease a verification twin, fork a worker, handshake, enroll."""
-        lease = self._cache.lease(self._artifact, backend=self._backend)
+    def spawn(self):
+        """Lease a verification twin, fork a worker, handshake; the
+        handle holds its request frames until started."""
+        lease, self._first_lease = self._first_lease, None
+        if lease is None:
+            lease = self.cache.lease(self._artifact, backend=self._backend)
         try:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
@@ -738,15 +705,9 @@ class ProcessEnginePool(EnginePool):
             record_batches=self._record_batches,
             max_pending=self._max_pending,
         )
-        slot = self._add_slot_locked(handle, lease.model, lease)
         with self._lock:
-            self._shm_attached += 1
-            started = self._started
-        # Checked after enrolling: a concurrent pool start() either saw
-        # this slot or had already set the flag read here.
-        if started:
-            handle.start()
-        return slot
+            self._attached += 1
+        return handle, lease.model, lease
 
     def _await_ready(self, conn, process, expected_dtype: np.dtype) -> None:
         """Block for the worker's handshake (READY or FATAL).
@@ -755,12 +716,10 @@ class ProcessEnginePool(EnginePool):
         in; it must match the parent's verification twin, or parity
         replays would compare across dtypes.
         """
-        if not conn.poll(self._ready_timeout_s):
+        if not conn.poll(_READY_TIMEOUT_S):
             process.terminate()
             process.join(5.0)
-            raise RuntimeError(
-                f"worker did not come up within {self._ready_timeout_s} s"
-            )
+            raise RuntimeError(f"worker did not come up within {_READY_TIMEOUT_S} s")
         frame = conn.recv_bytes()
         if frame[0] == _MSG_FATAL:
             (message_len,) = struct.unpack_from("<I", frame, 1)
@@ -781,121 +740,23 @@ class ProcessEnginePool(EnginePool):
                 f"{expected_dtype} — artifact reconstruction diverged"
             )
 
-    # ------------------------------------------------------------------
-    # Supervision (mirrors the autoscaling pool's death contract)
-    # ------------------------------------------------------------------
-    def _start_supervisor(self) -> None:
-        if self._supervisor is not None or self._pool_closing:
-            return
-        self._supervisor = threading.Thread(
-            target=self._supervise, name="repro-serve-proc-supervisor", daemon=True
-        )
-        self._supervisor.start()
-
-    def _supervise(self) -> None:
-        while not self._stop.wait(0.02):
-            try:
-                self._sweep_deaths()
-            except BaseException as exc:
-                # A broken supervisor must not die silently: remember
-                # the failure (close() re-raises it) and stop driving.
-                self._supervisor_error = exc
-                return
-
-    def _sweep_deaths(self, replace: bool = True) -> None:
+    def detach(self, handle: ProcessWorkerHandle) -> None:
+        """A worker left the rotation (died or retired): reap the
+        process and drop its mapping from the attach count."""
+        handle.process.join(5.0)
         with self._lock:
-            live = list(self._live)
-        for slot in live:
-            if slot.engine.worker_died:
-                self._handle_death(slot, replace=replace)
+            self._attached -= 1
+            self._detached_total += 1
 
-    def _handle_death(self, slot: _EngineSlot, replace: bool = True) -> None:
-        now = time.monotonic()
+    def close(self) -> None:
+        """Every worker is down: unlink the segment (idempotent)."""
         with self._lock:
-            if slot not in self._live:
-                return
-            self._live.remove(slot)
-            slot.fate = "died"
-            slot.retired_s = now
-            engines_now = len(self._live)
-            self._shm_attached -= 1  # the kernel dropped its mapping
-            self._shm_detached_total += 1
-        orphans = slot.engine.take_orphans()
-        slot.engine.process.join(5.0)  # reap the corpse
-        if slot.lease is not None:
-            slot.lease.release()
-        self._counters["deaths"] += 1
-        self._events.append(
-            ScaleEvent(now - self._born_s, "death", engines_now, 0.0, slot.index)
-        )
-        replace_error: Optional[BaseException] = None
-        if replace and not self._pool_closing:
-            try:
-                new_slot = self._spawn_worker()
-            except Exception as exc:
-                # A failed replacement must not strand the orphans —
-                # re-dispatch to whatever is still live (or fail each
-                # loudly), then surface the spawn failure.
-                replace_error = exc
-            else:
-                with self._lock:
-                    engines_now = len(self._live)
-                self._events.append(
-                    ScaleEvent(
-                        time.monotonic() - self._born_s,
-                        "replace",
-                        engines_now,
-                        0.0,
-                        new_slot.index,
-                    )
-                )
-        for request in orphans:
-            self._redispatch(slot.index, request)
-        if replace_error is not None:
-            raise replace_error
-
-    def _note_redispatch(self) -> None:
-        self._counters["redispatched"] += 1
-
-    def chaos_kill(self, engine_index: Optional[int] = None) -> int:
-        """SIGKILL a live worker process; returns its slot index.
-
-        The supervisor then detects the death, releases the lease and
-        shm accounting, spawns a replacement and rescues the stranded
-        requests — the whole path this hook exists to exercise.
-        """
-        with self._lock:
-            if not self._live:
-                raise RuntimeError("no live workers to kill")
-            if engine_index is None:
-                slot = self._live[0]
-            else:
-                matches = [s for s in self._live if s.index == engine_index]
-                if not matches:
-                    raise ValueError(f"worker {engine_index} is not live")
-                slot = matches[0]
-        slot.engine.kill()
-        return slot.index
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def scale_events(self) -> List[ScaleEvent]:
-        return list(self._events)
-
-    def describe_scaling(self) -> Dict[str, object]:
-        """Supervision report: not autoscaled (``enabled`` stays False)
-        but deaths, replacements and lifetimes ride along in the replay
-        payload."""
-        return {
-            "enabled": False,
-            "kind": "process",
-            "workers": len(self),
-            "engine_deaths": self._counters["deaths"],
-            "redispatched": self._counters["redispatched"],
-            "events": [event.to_dict() for event in self.scale_events()],
-            "engine_lifetimes_s": self.engine_lifetimes_s(),
-        }
+            self._detached_total += self._attached
+            self._attached = 0
+        if self._first_lease is not None:
+            self._first_lease.release()
+        self.segment.close()
+        self.segment.unlink()
 
     def shm_stats(self) -> Dict[str, object]:
         """Shared-memory accounting: the one segment, its live worker
@@ -904,49 +765,7 @@ class ProcessEnginePool(EnginePool):
             return {
                 "segment": self.segment.name,
                 "nbytes": int(self.segment.nbytes),
-                "attached": int(self._shm_attached),
-                "detached_total": int(self._shm_detached_total),
+                "attached": int(self._attached),
+                "detached_total": int(self._detached_total),
                 "unlinked": bool(self.segment._unlinked),
             }
-
-    @property
-    def stats(self) -> ServeStats:
-        merged = super().stats
-        merged.engine_deaths = self._counters["deaths"]
-        merged.redispatched = self._counters["redispatched"]
-        return merged
-
-    # ------------------------------------------------------------------
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop the supervisor, rescue any last orphans, close every
-        worker, release the leases, then unlink the shared segment.
-
-        Mirrors the autoscaling pool: a :class:`ShutdownTimeout` leaves
-        the laggards' leases (and the segment) held, and a retried
-        ``close()`` finishes the job — the segment is only unlinked
-        once every worker is down, so no worker ever maps a vanishing
-        name.
-        """
-        self._pool_closing = True
-        self._stop.set()
-        supervisor = self._supervisor
-        if supervisor is not None and supervisor.is_alive():
-            supervisor.join()
-        # Final death sweep without replacement: orphans re-dispatch to
-        # the workers we are about to drain-close (they still answer
-        # their pipes), or fail loudly if none is live.
-        self._sweep_deaths(replace=False)
-        super().close(drain=drain, timeout=timeout)
-        with self._lock:
-            slots = list(self._slots)
-            self._shm_detached_total += self._shm_attached
-            self._shm_attached = 0
-        for slot in slots:
-            if slot.lease is not None:
-                slot.lease.release()
-        self.segment.close()
-        self.segment.unlink()
-        if self._supervisor_error is not None:
-            error = self._supervisor_error
-            self._supervisor_error = None
-            raise RuntimeError("process-pool supervisor died mid-run") from error

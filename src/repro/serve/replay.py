@@ -8,8 +8,8 @@ JSON-able throughput/latency payload plus the raw outputs.
 seeded :class:`~repro.serve.trace.TrafficTrace` (uniform / Poisson /
 bursty / diurnal arrivals, mixed batch sizes) at its scheduled arrival
 timestamps whether or not earlier answers are back, and reports
-p50/p95/p99 latency, queue-wait vs service time, SLO attainment, and —
-for autoscaled sessions — scale events and chaos recovery.
+p50/p95/p99 latency, queue-wait vs service time, SLO attainment, and
+the pool's scale events and chaos recovery.
 :func:`verify_replay` re-runs the engines' recorded batches through the
 models directly and checks the answers bitwise — the parity contract of
 :mod:`repro.serve.engine`, exercised from the CLI via ``repro serve``;
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.serve.artifact import ArtifactManifest, ServingArtifact, compile_artifact
 from repro.serve.pool import AutoscalePolicy
-from repro.serve.session import ServeConfig, ServingSession
+from repro.serve.session import ServeConfig, ServingSession, resolve_policy
 from repro.serve.trace import TraceConfig, TrafficTrace, generate_trace
 
 
@@ -303,16 +303,15 @@ def replay_trace(
     service time come from the engines' own timestamps.
 
     ``chaos_kill_at_s`` arms a timer that kills one live engine's
-    worker mid-replay (supervised sessions only — pools whose
-    ``supports_chaos`` says a supervisor turns a death into recovery).
-    Every request still completes bit-exact or raises; nothing is
-    silently dropped.
+    worker mid-replay (pools whose ``supports_chaos`` says the
+    supervisor can replace it). Every request still completes
+    bit-exact or raises; nothing is silently dropped.
 
     The returned payload reports p50/p95/p99 latency, queue-wait vs
-    service time, SLO attainment against ``slo_ms``, and — for
-    supervised sessions — scale events and engine lifetimes, all read
-    through the :class:`~repro.serve.pool.EnginePool` interface (no
-    pool-class branching here).
+    service time, SLO attainment against ``slo_ms``, and the pool's
+    :meth:`~repro.serve.pool.EnginePool.describe_scaling` report —
+    policy, scale and death events, engine lifetimes — in one shape
+    for every pool.
     """
     inputs = np.asarray(images, dtype=session.input_dtype)
     if len(inputs) == 0:
@@ -329,10 +328,9 @@ def replay_trace(
     if chaos_kill_at_s is not None:
         if not pool.supports_chaos:
             raise ValueError(
-                "chaos_kill_at_s needs a supervised session (autoscaled "
-                "or process-backed) — only a supervisor turns an engine "
-                "death into recovery; a fixed pool would just fail the "
-                "stranded requests"
+                "chaos_kill_at_s needs a pool that can replace a killed "
+                "engine (an artifact source); a bare-model pool would just "
+                "fail the stranded requests"
             )
         kill_timer = threading.Timer(
             chaos_kill_at_s, lambda: killed.append(pool.chaos_kill())
@@ -421,8 +419,7 @@ def replay_trace(
             "peak": int(pool.peak_engines),
         },
     }
-    scaling = pool.describe_scaling()
-    payload["autoscale"] = {"enabled": False} if scaling is None else scaling
+    payload["autoscale"] = pool.describe_scaling()
     if chaos_kill_at_s is not None:
         payload["chaos"] = {
             "kill_at_s": float(chaos_kill_at_s),
@@ -563,36 +560,41 @@ def run_point(
     (same arrivals, same batch mix) and parity verification is strict:
     a verified-request shortfall raises rather than shrinking a number
     nobody reads. ``chaos`` kills one engine a third of the way into
-    the trace and requires ``autoscale`` (the supervisor is the
-    recovery path). ``backend`` selects the execution path
-    (``"float"`` or ``"integer"``) for every replay — including the
-    sequential baseline — and integer replays additionally pass the
-    rescale-bound check of :func:`verify_replay`.
+    the trace; the pool supervisor replaces it. ``backend`` selects
+    the execution path (``"float"`` or ``"integer"``) for every replay
+    — including the sequential baseline — and integer replays
+    additionally pass the rescale-bound check of :func:`verify_replay`.
 
     ``pool="process"`` serves the batched replay from ``workers``
     worker processes over one shared-memory artifact
-    (:class:`~repro.serve.procpool.ProcessEnginePool`) instead of
-    thread engines; parity verification is unchanged — the parent's
-    lease twins replay the worker-served batches bit-exactly. Process
-    pools are supervised, so ``chaos`` works with either ``autoscale``
-    or ``pool="process"``. The sequential baseline always runs
+    (:class:`~repro.serve.procpool.ProcessPlacement`) instead of
+    thread engines, fixed or autoscaled alike; parity verification is
+    unchanged — the parent's lease twins replay the worker-served
+    batches bit-exactly. The sequential baseline always runs
     in-process (single thread engine) — it is the *batching* control,
-    not the transport control.
+    not the transport control. The knobs map straight onto
+    :class:`~repro.serve.session.ServeConfig`, and any combination
+    :func:`~repro.serve.session.resolve_policy` rejects raises before
+    the artifact is built.
     """
     from repro.experiments.presets import get_dataset
 
-    if pool not in ("thread", "process"):
-        raise ValueError(f"unknown pool kind {pool!r}; expected 'thread' or 'process'")
-    if pool == "process" and autoscale:
-        raise ValueError(
-            "process pools are supervised but not autoscaled; pick "
-            "pool='process' or autoscale=True, not both"
+    policy = None
+    if autoscale:
+        policy = AutoscalePolicy(
+            min_engines=int(pool_size), max_engines=int(max_engines)
         )
-    if chaos and not autoscale and pool != "process":
-        raise ValueError(
-            "chaos=True needs a supervised pool (autoscale=True or "
-            "pool='process') — the supervisor is what recovers a killed worker"
-        )
+    batched_config = ServeConfig(
+        batch_window_s=batch_window_ms / 1e3,
+        max_batch_size=max_batch_size,
+        record_batches=True,
+        engines=int(pool_size),
+        autoscale=policy,
+        backend=backend,
+        pool=pool,
+        workers=int(workers),
+    )
+    resolve_policy(batched_config)
     artifact = build_uniform_artifact(
         model=model, dataset=dataset, scale=scale, seed=seed, bits=bits
     )
@@ -610,26 +612,9 @@ def run_point(
     kill_at_s = 0.35 * max(traffic.duration_s, 1e-3) if chaos else None
 
     def one_replay(
-        window_s: float,
-        batch_cap: int,
-        engines: int,
-        policy: Optional[AutoscalePolicy] = None,
-        kill_at: Optional[float] = None,
-        pool_kind: str = "thread",
+        config: ServeConfig, kill_at: Optional[float] = None
     ) -> Dict[str, object]:
-        session = ServingSession(
-            artifact,
-            config=ServeConfig(
-                batch_window_s=window_s,
-                max_batch_size=batch_cap,
-                record_batches=True,
-                engines=1 if policy is not None or pool_kind == "process" else engines,
-                autoscale=policy,
-                backend=backend,
-                pool=pool_kind,
-                workers=int(workers),
-            ),
-        )
+        session = ServingSession(artifact, config=config)
         try:
             run = replay_trace(
                 session,
@@ -645,19 +630,7 @@ def run_point(
         finally:
             session.close()
 
-    policy = None
-    if autoscale:
-        policy = AutoscalePolicy(
-            min_engines=int(pool_size), max_engines=int(max_engines)
-        )
-    batched = one_replay(
-        batch_window_ms / 1e3,
-        max_batch_size,
-        int(pool_size),
-        policy=policy,
-        kill_at=kill_at_s,
-        pool_kind=pool,
-    )
+    batched = one_replay(batched_config, kill_at=kill_at_s)
     payload: Dict[str, object] = {
         "model": model,
         "dataset": dataset,
@@ -679,7 +652,14 @@ def run_point(
         "batched": batched,
     }
     if compare_sequential:
-        sequential = one_replay(0.0, 1, 1)
+        sequential = one_replay(
+            ServeConfig(
+                batch_window_s=0.0,
+                max_batch_size=1,
+                record_batches=True,
+                backend=backend,
+            )
+        )
         payload["sequential"] = sequential
         if batched["wall_s"] > 0:
             payload["speedup"] = float(sequential["wall_s"] / batched["wall_s"])
@@ -688,20 +668,23 @@ def run_point(
 
 def render(payload: Dict[str, object]) -> str:
     """Human rendering of a :func:`run_point` payload."""
-    pool_note = (
-        f", pool {payload['pool_size']}" if payload.get("pool_size", 1) != 1 else ""
-    )
+    process = payload.get("pool", "thread") == "process"
     if payload.get("autoscale"):
-        pool_note = (
-            f", autoscale {payload['pool_size']}..{payload['max_engines']}"
-            + (", chaos" if payload.get("chaos") else "")
-        )
-    if payload.get("pool", "thread") == "process":
-        pool_note = f", {payload['workers']} worker processes" + (
-            ", chaos" if payload.get("chaos") else ""
-        )
+        notes = [
+            f"autoscale {payload['pool_size']}..{payload['max_engines']}"
+            + (" worker processes" if process else "")
+        ]
+    elif process:
+        notes = [f"{payload['workers']} worker processes"]
+    elif payload.get("pool_size", 1) != 1:
+        notes = [f"pool {payload['pool_size']}"]
+    else:
+        notes = []
+    if payload.get("chaos"):
+        notes.append("chaos")
     if payload.get("backend", "float") != "float":
-        pool_note += f", {payload['backend']} backend"
+        notes.append(f"{payload['backend']} backend")
+    pool_note = "".join(f", {note}" for note in notes)
     lines = [
         f"serve replay — {payload['model']} on {payload['dataset']} "
         f"({payload['scale']}, uniform {payload['bits']} bits, "

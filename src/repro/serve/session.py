@@ -1,30 +1,32 @@
 """Synchronous serving facade suitable for embedding.
 
-:class:`ServingSession` wires an artifact (path, parsed
-:class:`~repro.serve.artifact.ServingArtifact`, or bare model) to an
-:class:`~repro.serve.pool.EnginePool` — thread-backed
-(``ServeConfig.engines`` :class:`~repro.serve.engine.InferenceEngine`
-instances, optionally autoscaled) or process-backed
-(``ServeConfig.pool = "process"``,
-:class:`~repro.serve.procpool.ProcessEnginePool`) — and exposes the
-blocking calls an application wants: ``predict`` / ``predict_batch``
-/ ``predict_labels``, ``warmup``, graceful ``drain``/``close`` and a
-context-manager protocol. The session consumes the pool purely
-through the :class:`~repro.serve.pool.EnginePool` interface, so the
-choice of transport never branches session code.
+:class:`ServingSession` wires a source to one
+:class:`~repro.serve.pool.EnginePool` and exposes the blocking calls an
+application wants: ``predict`` / ``predict_batch`` /
+``predict_labels``, ``warmup``, graceful ``drain``/``close`` and a
+context-manager protocol.
 
-Path sources go through the content-hash artifact cache's
-**copy-on-lease** protocol: each engine gets a private clone of the
-cached prototype (:meth:`~repro.serve.artifact.ArtifactCache.lease`),
-so any number of sessions — and any number of engines within one
-session — serve the same cached artifact concurrently with zero
-shared mutable state. The parse + reconstruction still happens once
-per content hash; leases are released on ``close()``.
+The source is resolved once:
 
-Sessions constructed from an in-memory :class:`ServingArtifact` with
-``engines == 1`` serve the artifact's own prototype model directly
-(the historical embedded-use contract: one session, one owner). With
-``engines > 1`` every engine gets a private clone.
+* a path is read and hashed once through the content-hash
+  :class:`~repro.serve.artifact.ArtifactCache` (default
+  :data:`~repro.serve.artifact.DEFAULT_CACHE`);
+* an in-memory :class:`~repro.serve.artifact.ServingArtifact` gets a
+  private cache when none is given, so lease accounting still
+  balances without polluting the process-wide cache;
+* a bare model gets one float thread engine serving it as given.
+
+Artifact-backed engines follow the cache's **copy-on-lease** protocol:
+every engine — thread or process-twin, initial, scale-up or
+replacement — serves a private clone of the cached prototype
+(:meth:`~repro.serve.artifact.ArtifactCache.lease`), so any number of
+sessions and engines serve one cached artifact concurrently with zero
+shared mutable state. The pool owns the leases and releases them on
+``close()``.
+
+:func:`resolve_policy` holds every rule about how the
+:class:`ServeConfig` fan-out knobs combine; the CLI, the gateway
+registry and the replay units call it instead of re-checking.
 """
 
 from __future__ import annotations
@@ -36,41 +38,32 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.nn.module import Module
-from repro.serve.artifact import (
-    DEFAULT_CACHE,
-    ArtifactCache,
-    ModelLease,
-    ServingArtifact,
-)
-from repro.serve.engine import (
-    InferenceEngine,
-    PendingPrediction,
-    ServeStats,
-    ShutdownTimeout,
-)
-from repro.serve.pool import (
-    AutoscalePolicy,
-    AutoscalingEnginePool,
-    EnginePool,
-    ServingEnginePool,
-)
-from repro.serve.procpool import ProcessEnginePool
+from repro.serve.artifact import DEFAULT_CACHE, ArtifactCache, ServingArtifact
+from repro.serve.engine import InferenceEngine, PendingPrediction, ServeStats
+from repro.serve.pool import AutoscalePolicy, EnginePool, ThreadPlacement
+from repro.serve.procpool import ProcessPlacement
 
 
 @dataclass
 class ServeConfig:
     """Engine knobs of a session (see :class:`InferenceEngine`).
 
-    ``engines`` fans the session out across that many engines, each
-    serving a private model clone leased from the artifact —
-    multi-engine sessions require an artifact (or path) source.
+    Three fields decide the fan-out, and :func:`resolve_policy` turns
+    them into the pool's :class:`~repro.serve.pool.AutoscalePolicy`:
 
-    ``autoscale`` replaces the fixed fan-out with an
-    :class:`~repro.serve.pool.AutoscalingEnginePool` that grows and
-    shrinks between the policy's ``min_engines``/``max_engines`` from
-    observed queue depth. Autoscaled sessions need an artifact (or
-    path) source — engines are leased clones — and leave ``engines``
-    at 1 (the bounds live on the policy).
+    * ``pool`` picks where engines run: ``"thread"`` (default) serves
+      in-process worker threads; ``"process"`` serves from worker
+      processes mapping one shared-memory copy of the artifact — true
+      parallel forwards instead of GIL-shared ones.
+    * ``engines`` is the thread fan-out; ``workers`` the process one.
+      Each must stay at its default under the other pool kind.
+    * ``autoscale`` lets the pool grow and shrink between the policy's
+      ``min_engines``/``max_engines`` from observed queue depth, under
+      either pool kind. The count field then stays at its default or
+      agrees with ``min_engines``.
+
+    Fan-out, autoscaling and process workers need an artifact (or
+    path) source — engines are leased clones.
 
     ``backend`` picks the execution path: ``"float"`` (default) serves
     the reconstructed-weight model; ``"integer"`` serves the packed
@@ -85,16 +78,6 @@ class ServeConfig:
     ``ServeStats.rejected``) instead of growing the queue — the
     load-shedding contract the gateway maps to HTTP 429. ``None``
     (default) keeps the queue unbounded.
-
-    ``pool`` picks where engines run: ``"thread"`` (default) serves
-    in-process worker threads; ``"process"`` stands up a
-    :class:`~repro.serve.procpool.ProcessEnginePool` of ``workers``
-    worker processes mapping one shared-memory copy of the artifact —
-    true parallel forwards instead of GIL-shared ones. Process
-    sessions need an artifact (or path) source, take their fan-out
-    from ``workers`` (leave ``engines`` at 1), and are supervised
-    (worker deaths recover) but not autoscaled — ``autoscale`` and
-    ``pool="process"`` are mutually exclusive.
     """
 
     batch_window_s: float = 0.002
@@ -109,14 +92,80 @@ class ServeConfig:
     workers: int = 2
 
 
+def resolve_policy(config: ServeConfig, bare_model: bool = False) -> AutoscalePolicy:
+    """The engine-count policy ``config`` asks for, or ``ValueError``.
+
+    Every combination rule of the fan-out knobs lives here, so no
+    field set away from its default is ever silently ignored. A fixed
+    fan-out of N becomes ``AutoscalePolicy(min_engines=N,
+    max_engines=N)``. ``bare_model`` adds the rules of a bare-model
+    source: one float thread engine.
+    """
+    if config.backend not in ("float", "integer"):
+        raise ValueError(
+            f"unknown serving backend {config.backend!r}; "
+            "expected 'float' or 'integer'"
+        )
+    if config.pool not in ("thread", "process"):
+        raise ValueError(
+            f"unknown pool kind {config.pool!r}; expected 'thread' or 'process'"
+        )
+    if config.engines < 1:
+        raise ValueError(f"engines must be >= 1, got {config.engines}")
+    if config.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {config.workers}")
+    if config.pool == "process":
+        if config.engines != 1:
+            raise ValueError(
+                "process sessions take their fan-out from "
+                "ServeConfig.workers; leave engines at 1"
+            )
+        knob, count, default = "workers", config.workers, ServeConfig.workers
+    else:
+        if config.workers != ServeConfig.workers:
+            raise ValueError(
+                "ServeConfig.workers sizes a process pool; thread sessions "
+                "take their fan-out from engines (or set pool='process')"
+            )
+        knob, count, default = "engines", config.engines, ServeConfig.engines
+    policy = config.autoscale
+    if policy is None:
+        policy = AutoscalePolicy(min_engines=count, max_engines=count)
+    elif count not in (default, policy.min_engines):
+        raise ValueError(
+            f"autoscaled sessions take their engine bounds from "
+            f"AutoscalePolicy; {knob}={count} disagrees with "
+            f"min_engines={policy.min_engines} (leave {knob} at {default} "
+            "or match it)"
+        )
+    if bare_model:
+        if config.pool != "thread":
+            raise ValueError(
+                "a process session cannot serve a bare model — workers map "
+                "the serialized artifact; serve an artifact (or path) source"
+            )
+        if config.backend != "float":
+            raise ValueError(
+                "a bare-model session has no packed codes to execute; the "
+                "integer backend needs an artifact (or path) source"
+            )
+        if policy.max_engines != 1:
+            raise ValueError(
+                "a bare-model session cannot fan out (one model, one owner); "
+                "serve an artifact to use more engines or autoscaling"
+            )
+    return policy
+
+
 class ServingSession:
     """Blocking facade over an engine pool serving one artifact.
 
     ``source`` may be an artifact file path (leased through ``cache``,
     default the process-wide :data:`~repro.serve.artifact.DEFAULT_CACHE`),
-    an already-loaded :class:`ServingArtifact`, or a bare model for
-    ad-hoc serving (``warmup`` then needs an explicit example input,
-    and the session cannot fan out).
+    an already-loaded :class:`ServingArtifact` (leased through ``cache``,
+    default a private one), or a bare model for ad-hoc serving
+    (``warmup`` then needs an explicit example input, and the session
+    cannot fan out).
     """
 
     def __init__(
@@ -126,157 +175,48 @@ class ServingSession:
         cache: Optional[ArtifactCache] = None,
     ):
         config = config if config is not None else ServeConfig()
-        if config.engines < 1:
-            raise ValueError(f"engines must be >= 1, got {config.engines}")
-        if config.backend not in ("float", "integer"):
-            raise ValueError(
-                f"unknown serving backend {config.backend!r}; "
-                "expected 'float' or 'integer'"
-            )
-        if config.pool not in ("thread", "process"):
-            raise ValueError(
-                f"unknown pool kind {config.pool!r}; expected 'thread' or 'process'"
-            )
-        if config.pool == "process" and config.autoscale is not None:
-            raise ValueError(
-                "process pools are supervised but not autoscaled; pick "
-                "pool='process' or autoscale=, not both"
-            )
+        bare = isinstance(source, Module)
+        policy = resolve_policy(config, bare_model=bare)
         self.config = config
         self._closed = False
         """Set once a close() sweep has fully succeeded — later calls
         are contractual no-ops (see :meth:`close`)."""
-        self._leases: List[ModelLease] = []
-        # Any failure between taking the first lease and standing the
-        # pool up must return the claims, or the cache entry would stay
-        # pinned (and the refcount inflated) for the process lifetime.
+        first = None
+        if bare:
+            self.artifact: Optional[ServingArtifact] = None
+            cache = None
+        elif isinstance(source, (str, Path, ServingArtifact)):
+            if cache is None:
+                cache = DEFAULT_CACHE if isinstance(source, (str, Path)) else ArtifactCache()
+            # The first engine's lease reads and hashes a path once;
+            # every later engine leases the parsed artifact (no I/O).
+            first = cache.lease(source, backend=config.backend)
+            self.artifact = first.artifact
+        else:
+            raise TypeError(
+                f"source must be a path, ServingArtifact or Module, "
+                f"got {type(source)}"
+            )
+        self.cache = cache
+        """The cache every engine leases through (``None`` for a bare model)."""
+        placement_type = ProcessPlacement if config.pool == "process" else ThreadPlacement
         try:
-            if config.pool == "process":
-                if config.engines != 1:
-                    raise ValueError(
-                        "process sessions take their fan-out from "
-                        "ServeConfig.workers; leave engines at 1"
-                    )
-                if isinstance(source, (str, Path)):
-                    cache = cache if cache is not None else DEFAULT_CACHE
-                    self.artifact = cache.load(source)
-                elif isinstance(source, ServingArtifact):
-                    self.artifact = source
-                    if cache is None:
-                        # A private cache: the pool's lease/release
-                        # accounting still balances, without polluting
-                        # the process-wide cache with ad-hoc artifacts.
-                        cache = ArtifactCache()
-                else:
-                    raise ValueError(
-                        "a process session cannot serve a bare model — "
-                        "workers map the serialized artifact; serve an "
-                        "artifact (or path) source"
-                    )
-                # The pool owns its leases (worker replacement creates
-                # and releases them); the session holds none of its own.
-                self._pool = ProcessEnginePool(
-                    self.artifact,
-                    cache,
-                    workers=config.workers,
-                    batch_window_s=config.batch_window_s,
-                    max_batch_size=config.max_batch_size,
-                    record_batches=config.record_batches,
-                    autostart=config.autostart,
-                    backend=config.backend,
-                    max_pending=config.max_pending,
-                )
-            elif config.autoscale is not None:
-                if config.engines != 1:
-                    raise ValueError(
-                        "autoscaled sessions take their engine bounds from "
-                        "AutoscalePolicy (min_engines/max_engines); leave "
-                        "ServeConfig.engines at 1"
-                    )
-                if isinstance(source, (str, Path)):
-                    cache = cache if cache is not None else DEFAULT_CACHE
-                    self.artifact = cache.load(source)
-                elif isinstance(source, ServingArtifact):
-                    self.artifact = source
-                    if cache is None:
-                        # A private cache: the pool's lease/release
-                        # accounting still balances, without polluting
-                        # the process-wide cache with ad-hoc artifacts.
-                        cache = ArtifactCache()
-                else:
-                    raise ValueError(
-                        "an autoscaled session cannot serve a bare model — "
-                        "engines are leased clones; serve an artifact"
-                    )
-                # The pool owns its leases (scale events create and
-                # release them); the session holds none of its own.
-                self._pool = AutoscalingEnginePool(
-                    self.artifact,
-                    cache,
-                    policy=config.autoscale,
-                    batch_window_s=config.batch_window_s,
-                    max_batch_size=config.max_batch_size,
-                    record_batches=config.record_batches,
-                    autostart=config.autostart,
-                    backend=config.backend,
-                    max_pending=config.max_pending,
-                )
-            elif isinstance(source, (str, Path)):
-                cache = cache if cache is not None else DEFAULT_CACHE
-                # Read + hash the file once; further engines lease the
-                # already-parsed artifact (an adopt hit, no I/O).
-                self._leases.append(cache.lease(source, backend=config.backend))
-                self.artifact: Optional[ServingArtifact] = self._leases[0].artifact
-                for _ in range(config.engines - 1):
-                    self._leases.append(
-                        cache.lease(self.artifact, backend=config.backend)
-                    )
-                models = [lease.model for lease in self._leases]
-            elif isinstance(source, ServingArtifact):
-                self.artifact = source
-                if cache is not None:
-                    for _ in range(config.engines):
-                        self._leases.append(
-                            cache.lease(source, backend=config.backend)
-                        )
-                    models = [lease.model for lease in self._leases]
-                elif config.engines == 1:
-                    models = [source.model_for(config.backend)]
-                else:
-                    models = [
-                        source.clone_model_for(config.backend)
-                        for _ in range(config.engines)
-                    ]
-            elif isinstance(source, Module):
-                if config.engines != 1:
-                    raise ValueError(
-                        "a bare-model session cannot fan out (one model, one "
-                        "owner); serve an artifact to use engines > 1"
-                    )
-                if config.backend != "float":
-                    raise ValueError(
-                        "a bare-model session has no packed codes to execute; "
-                        "the integer backend needs an artifact (or path) source"
-                    )
-                self.artifact = None
-                models = [source]
-            else:
-                raise TypeError(
-                    f"source must be a path, ServingArtifact or Module, "
-                    f"got {type(source)}"
-                )
-            if config.pool != "process" and config.autoscale is None:
-                self._pool = ServingEnginePool(
-                    models,
-                    batch_window_s=config.batch_window_s,
-                    max_batch_size=config.max_batch_size,
-                    record_batches=config.record_batches,
-                    autostart=config.autostart,
-                    max_pending=config.max_pending,
-                )
+            placement = placement_type(
+                source if bare else self.artifact,
+                cache,
+                backend=config.backend,
+                batch_window_s=config.batch_window_s,
+                max_batch_size=config.max_batch_size,
+                record_batches=config.record_batches,
+                max_pending=config.max_pending,
+                first_lease=first,
+            )
+            self._pool = EnginePool(placement, policy, autostart=config.autostart)
         except BaseException:
-            for lease in self._leases:
-                lease.release()
+            # The pool owns its leases once built; until then the first
+            # one is ours to return (release is idempotent).
+            if first is not None:
+                first.release()
             raise
         if self.artifact is not None:
             for engine in self._pool.engines:
@@ -340,7 +280,7 @@ class ServingSession:
 
     # ------------------------------------------------------------------
     def submit(self, x) -> PendingPrediction:
-        """Asynchronous enqueue (see :meth:`ServingEnginePool.submit`)."""
+        """Asynchronous enqueue (see :meth:`EnginePool.submit`)."""
         return self._pool.submit(x)
 
     def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
@@ -391,34 +331,22 @@ class ServingSession:
         self._pool.drain(timeout=timeout)
 
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut the engines down (gracefully by default) and release the
-        session's artifact leases.
+        """Shut the engines down (gracefully by default); the pool
+        releases every lease.
 
         Idempotent by contract, not by luck: once a ``close()`` has
         succeeded, every later ``close()`` — any ``drain`` flag,
         including the implicit ``__exit__`` one — returns without
-        touching the pool. A :class:`ShutdownTimeout` leaves the
-        session open *and its leases held* (laggard engines are still
-        serving their clones); the retried ``close()`` keeps waiting
-        and releases them on success, mirroring
-        :meth:`AutoscalingEnginePool.close`. Any other pool failure
-        still releases the session's leases — the close sweep has
-        already stopped every engine it could, and pinning the cache
-        entry for the process lifetime would compound the failure.
+        touching the pool. A failure (a
+        :class:`~repro.serve.engine.ShutdownTimeout` naming laggard
+        engines, which keep their leases) leaves the session open, and
+        the retried ``close()`` keeps waiting — see
+        :meth:`EnginePool.close`.
         """
         if self._closed:
             return
-        try:
-            self._pool.close(drain=drain, timeout=timeout)
-        except ShutdownTimeout:
-            raise
-        except BaseException:
-            for lease in self._leases:
-                lease.release()
-            raise
+        self._pool.close(drain=drain, timeout=timeout)
         self._closed = True
-        for lease in self._leases:
-            lease.release()
 
     def __enter__(self) -> "ServingSession":
         return self

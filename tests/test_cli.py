@@ -159,6 +159,38 @@ class TestServeCommand:
         # One parse+build; the second engine's model is a leased clone.
         assert "1 misses" in out and "2 leases" in out
 
+    def test_serve_chaos_on_a_fixed_pool(self, capsys, preset_artifact):
+        """A fixed artifact-backed pool is supervised: --chaos no longer
+        needs --autoscale or --processes, and nothing is dropped."""
+        code = main(
+            [
+                "serve",
+                "--artifact", str(preset_artifact),
+                "--requests", "64",
+                "--trace", "poisson",
+                "--rate", "2000",
+                "--engines", "2",
+                "--chaos",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "chaos: killed engine" in out
+        assert "parity: OK (64 requests bit-exact)" in out
+        assert "64 completed, 0 errors" in out and "1 deaths" in out
+
+    def test_serve_rejects_conflicting_fanout(self, capsys, preset_artifact):
+        code = main(
+            [
+                "serve",
+                "--artifact", str(preset_artifact),
+                "--processes", "2",
+                "--engines", "2",
+            ]
+        )
+        assert code == 2
+        assert "leave engines at 1" in capsys.readouterr().err
+
     def test_serve_rejects_bad_engine_count(self, capsys, preset_artifact):
         code = main(["serve", "--artifact", str(preset_artifact), "--engines", "0"])
         assert code == 2

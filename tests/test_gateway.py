@@ -140,6 +140,31 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.register(make_spec(mlp_artifact))
 
+    def test_spec_passes_engines_through_and_conflicts_raise_at_register(
+        self, mlp_artifact
+    ):
+        """Regression: serve_config() used to rewrite ``engines`` to 1
+        for process and autoscaled specs, so the gateway served a
+        different fan-out than ``/v1/artifacts`` reported. Fields now
+        pass through unchanged, and a conflicting spec is refused at
+        register() with the resolver's ValueError."""
+        process_spec = make_spec(mlp_artifact, engines=3, pool="process")
+        config = process_spec.serve_config()
+        assert (config.engines, config.workers, config.pool) == (3, 2, "process")
+        policy = AutoscalePolicy(min_engines=1, max_engines=2)
+        autoscaled_spec = make_spec(mlp_artifact, engines=3, autoscale=policy)
+        assert autoscaled_spec.serve_config().engines == 3
+        with ArtifactRegistry() as registry:
+            with pytest.raises(ValueError, match="workers"):
+                registry.register(process_spec)
+            with pytest.raises(ValueError, match="min_engines=1"):
+                registry.register(autoscaled_spec)
+            assert registry.names() == []
+            # A consistent spec serves exactly the count it reports.
+            registry.register(make_spec(mlp_artifact, engines=3), preload=True)
+            (document,) = registry.describe()
+            assert document["engines"] == document["live_engines"] == 3
+
     def test_lazy_load_unload_reload(self, mlp_artifact):
         with ArtifactRegistry() as registry:
             registry.register(make_spec(mlp_artifact))

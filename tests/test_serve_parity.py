@@ -305,7 +305,8 @@ class TestReplayHarness:
 
     def test_trace_replay_on_fixed_pool_renders(self, served_setup):
         """Regression: a fixed (non-autoscaled) session's trace payload
-        carries ``autoscale: {enabled: False}`` and must still render."""
+        carries the pool's scaling report with ``enabled: False`` and
+        must still render."""
         from repro.serve import TraceConfig, generate_trace, render_trace_replay, replay_trace
 
         _model, session, inputs, _dtype = served_setup
@@ -313,7 +314,11 @@ class TestReplayHarness:
             TraceConfig(kind="uniform", requests=6, rate_rps=500.0)
         )
         run = replay_trace(session, inputs, trace, slo_ms=1000.0)
-        assert run.payload["autoscale"] == {"enabled": False}
+        scaling = run.payload["autoscale"]
+        assert scaling["enabled"] is False
+        engines = len(session.engines)
+        assert scaling["policy"]["min_engines"] == scaling["policy"]["max_engines"] == engines
+        assert scaling["events"] == [] and scaling["engine_deaths"] == 0
         rendered = render_trace_replay(run.payload)
         assert "p95 vs SLO" in rendered
         assert "autoscale[" not in rendered

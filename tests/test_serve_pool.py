@@ -1,5 +1,5 @@
 """Tests for repro.serve.pool: round-robin fan-out, lifecycle, stats,
-autoscaling and the chaos-kill recovery path."""
+autoscaling and the chaos-kill recovery path of the one EnginePool."""
 
 import time
 
@@ -12,12 +12,12 @@ from repro.serve import (
     ArtifactCache,
     AutoscaleDecider,
     AutoscalePolicy,
-    AutoscalingEnginePool,
     EngineDied,
+    EnginePool,
     QueueFull,
     ReplayRun,
-    ServingEnginePool,
     ShutdownTimeout,
+    ThreadPlacement,
     compile_artifact,
     verify_replay,
 )
@@ -40,19 +40,36 @@ class SlowModel(Module):
         return x
 
 
+def fixed_pool(models, autostart=True, **engine_kwargs) -> EnginePool:
+    """A fixed pool with one engine per bare model."""
+    placement = ThreadPlacement(models, **engine_kwargs)
+    count = len(models)
+    return EnginePool(
+        placement,
+        AutoscalePolicy(min_engines=count, max_engines=count),
+        autostart=autostart,
+    )
+
+
+def leased_pool(artifact, cache, policy, autostart=True, **engine_kwargs) -> EnginePool:
+    """A pool whose engines lease clones of ``artifact`` from ``cache``."""
+    placement = ThreadPlacement(artifact, cache, **engine_kwargs)
+    return EnginePool(placement, policy, autostart=autostart)
+
+
 class TestPoolBasics:
     def test_needs_models(self):
         with pytest.raises(ValueError, match="at least one model"):
-            ServingEnginePool([])
+            fixed_pool([])
 
     def test_rejects_shared_model_objects(self):
         model = make_toy_model()
         with pytest.raises(ValueError, match="distinct"):
-            ServingEnginePool([model, model])
+            fixed_pool([model, model])
 
     def test_round_robin_assignment(self):
         models = [make_toy_model() for _ in range(3)]
-        with ServingEnginePool(models, batch_window_s=0.0) as pool:
+        with fixed_pool(models, batch_window_s=0.0) as pool:
             assert len(pool) == 3
             pendings = [pool.submit(np.ones(3)) for _ in range(7)]
             for pending in pendings:
@@ -64,7 +81,7 @@ class TestPoolBasics:
     def test_identical_models_answer_identically(self):
         models = [make_toy_model() for _ in range(2)]
         x = np.arange(3, dtype=np.float64)
-        with ServingEnginePool(models, batch_window_s=0.0) as pool:
+        with fixed_pool(models, batch_window_s=0.0) as pool:
             first = pool.predict(x, timeout=10)
             second = pool.predict(x, timeout=10)
         np.testing.assert_array_equal(first, second)
@@ -72,7 +89,7 @@ class TestPoolBasics:
 
     def test_combined_stats_sum_over_engines(self):
         models = [make_toy_model() for _ in range(2)]
-        with ServingEnginePool(models, batch_window_s=0.0) as pool:
+        with fixed_pool(models, batch_window_s=0.0) as pool:
             for _ in range(6):
                 pool.predict(np.ones(3), timeout=10)
             stats = pool.stats
@@ -80,14 +97,14 @@ class TestPoolBasics:
         assert stats.forwards == sum(s.forwards for s in pool.per_engine_stats())
 
     def test_input_dtype_exposed(self):
-        with ServingEnginePool([make_toy_model()]) as pool:
+        with fixed_pool([make_toy_model()]) as pool:
             assert pool.input_dtype == np.float64
 
 
 class TestPoolLifecycle:
     def test_deferred_start_and_drain(self):
         models = [make_toy_model() for _ in range(2)]
-        pool = ServingEnginePool(models, batch_window_s=0.0, autostart=False)
+        pool = fixed_pool(models, batch_window_s=0.0, autostart=False)
         pendings = [pool.submit(np.full(3, i)) for i in range(4)]
         pool.start()
         pool.drain(timeout=10)
@@ -95,7 +112,7 @@ class TestPoolLifecycle:
         pool.close()
 
     def test_close_timeout_names_laggards(self):
-        pool = ServingEnginePool(
+        pool = fixed_pool(
             [SlowModel(0.4), SlowModel(0.4)], batch_window_s=0.0
         )
         pendings = [pool.submit(np.ones(3)) for _ in range(2)]
@@ -106,7 +123,7 @@ class TestPoolLifecycle:
         pool.close(drain=True, timeout=10)  # patient close succeeds
 
     def test_close_is_idempotent(self):
-        pool = ServingEnginePool([make_toy_model()])
+        pool = fixed_pool([make_toy_model()])
         pool.close()
         pool.close()
 
@@ -115,7 +132,7 @@ class TestPoolLifecycle:
         full engine is skipped for a live one with headroom, and
         QueueFull propagates only when every live engine shed."""
         models = [make_toy_model() for _ in range(2)]
-        pool = ServingEnginePool(
+        pool = fixed_pool(
             models, batch_window_s=0.0, autostart=False, max_pending=2
         )
         engines = pool.engines
@@ -145,7 +162,7 @@ class TestPoolLifecycle:
         must not abort the sweep — the later engines still close (no
         leaked worker threads) and the failure is re-raised after."""
         models = [make_toy_model() for _ in range(3)]
-        pool = ServingEnginePool(models, batch_window_s=0.0)
+        pool = fixed_pool(models, batch_window_s=0.0)
         engines = pool.engines
         victim = engines[1]
         real_close = victim.close
@@ -168,7 +185,7 @@ class TestPoolLifecycle:
         into zero-second engine waits, misattributing the timeout to
         whichever engine was visited next. It now raises immediately,
         naming the engines that were never waited on."""
-        pool = ServingEnginePool(
+        pool = fixed_pool(
             [SlowModel(0.2), SlowModel(0.2)], batch_window_s=0.0
         )
         pendings = [pool.submit(np.ones(3)) for _ in range(2)]
@@ -179,7 +196,7 @@ class TestPoolLifecycle:
         pool.close(drain=True, timeout=10)
 
     def test_close_expired_deadline_names_unreached_engines(self):
-        pool = ServingEnginePool(
+        pool = fixed_pool(
             [SlowModel(0.2), SlowModel(0.2)], batch_window_s=0.0
         )
         pendings = [pool.submit(np.ones(3)) for _ in range(2)]
@@ -276,8 +293,8 @@ class TestAutoscalingPool:
             min_engines=1, max_engines=3, scale_up_depth=4.0,
             scale_down_depth=1.0, **MANUAL
         )
-        pool = AutoscalingEnginePool(
-            mlp_artifact, cache, policy=policy,
+        pool = leased_pool(
+            mlp_artifact, cache, policy,
             batch_window_s=0.0, autostart=False,
         )
         assert cache.active_leases() == 1
@@ -318,8 +335,8 @@ class TestAutoscalingPool:
             min_engines=1, max_engines=2, scale_up_depth=4.0,
             scale_down_depth=1.6, **MANUAL
         )
-        pool = AutoscalingEnginePool(
-            mlp_artifact, cache, policy=policy,
+        pool = leased_pool(
+            mlp_artifact, cache, policy,
             batch_window_s=0.0, autostart=False,
         )
         first = [pool.submit(np.zeros((3, 8, 8))) for _ in range(4)]
@@ -344,8 +361,8 @@ class TestAutoscalingPool:
             min_engines=1, max_engines=2, scale_up_depth=3.0,
             scale_down_depth=0.5, cooldown_s=0.0, interval_s=0.005,
         )
-        pool = AutoscalingEnginePool(
-            mlp_artifact, cache, policy=policy,
+        pool = leased_pool(
+            mlp_artifact, cache, policy,
             batch_window_s=0.0, autostart=False,
         )
         # Queue work while the engines are stopped, then start only the
@@ -381,8 +398,8 @@ class TestChaosKill:
         request completes bit-exact. Lease accounting balances."""
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
-        pool = AutoscalingEnginePool(
-            mlp_artifact, cache, policy=policy,
+        pool = leased_pool(
+            mlp_artifact, cache, policy,
             batch_window_s=0.0, record_batches=True,
         )
         killed = pool.chaos_kill()
@@ -435,8 +452,8 @@ class TestChaosKill:
         is answered with EngineDied — never silently dropped."""
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
-        pool = AutoscalingEnginePool(
-            mlp_artifact, cache, policy=policy, batch_window_s=0.0
+        pool = leased_pool(
+            mlp_artifact, cache, policy, batch_window_s=0.0
         )
         pool.chaos_kill()
         self.wait_for_death(pool.engines[0])
@@ -445,21 +462,21 @@ class TestChaosKill:
         def refusing_lease(source, backend="float"):
             raise RuntimeError("cache shut down")
 
-        pool._cache = type("C", (), {"lease": staticmethod(refusing_lease)})()
+        pool.placement.cache = type("C", (), {"lease": staticmethod(refusing_lease)})()
         with pytest.raises(RuntimeError, match="cache shut down"):
             pool._sweep_deaths()
         for pending in pendings:
             with pytest.raises(EngineDied, match="could not be re-dispatched"):
                 pending.result(timeout=10)
-        pool._cache = cache
+        pool.placement.cache = cache
         pool.close(drain=True, timeout=10)
         assert cache.active_leases() == 0
 
     def test_drain_on_dead_engine_raises(self, mlp_artifact):
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
-        pool = AutoscalingEnginePool(
-            mlp_artifact, cache, policy=policy, batch_window_s=0.0
+        pool = leased_pool(
+            mlp_artifact, cache, policy, batch_window_s=0.0
         )
         pool.chaos_kill()
         self.wait_for_death(pool.engines[0])
@@ -496,8 +513,8 @@ class TestIntegerBackendPool:
             min_engines=1, max_engines=2, scale_up_depth=2.0,
             scale_down_depth=0.5, **MANUAL
         )
-        pool = AutoscalingEnginePool(
-            act_artifact, cache, policy=policy,
+        pool = leased_pool(
+            act_artifact, cache, policy,
             batch_window_s=0.0, autostart=False, backend="integer",
         )
         pendings = [pool.submit(np.zeros((3, 8, 8))) for _ in range(6)]
@@ -522,8 +539,8 @@ class TestIntegerBackendPool:
     ):
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
-        pool = AutoscalingEnginePool(
-            act_artifact, cache, policy=policy,
+        pool = leased_pool(
+            act_artifact, cache, policy,
             batch_window_s=0.0, record_batches=True, backend="integer",
         )
         killed = pool.chaos_kill()
@@ -567,3 +584,85 @@ class TestIntegerBackendPool:
         assert cache.active_leases() == 0
         # Integer MACs actually ran on the replacement engine.
         assert pool.stats.acc_bits_used > 0
+
+
+# ----------------------------------------------------------------------
+# One chaos contract, three configurations
+# ----------------------------------------------------------------------
+#: The supervisor sweeps every 5 ms in each configuration; only the
+#: autoscaled one may change the engine count.
+CHAOS_CONFIGS = {
+    "fixed-thread": ("thread", AutoscalePolicy(min_engines=2, max_engines=2, interval_s=0.005)),
+    "autoscaled-thread": ("thread", AutoscalePolicy(min_engines=2, max_engines=3, interval_s=0.005)),
+    "process": ("process", AutoscalePolicy(min_engines=2, max_engines=2, interval_s=0.005)),
+}
+
+
+class TestChaosContract:
+    """Kill an engine holding requests: the supervisor replaces it and
+    re-dispatches its orphans, every request answers bit-exact
+    (``verify_replay(expected=N)``), the lease count returns to zero
+    and a process segment's name no longer attaches after close()."""
+
+    @pytest.mark.parametrize("name", sorted(CHAOS_CONFIGS))
+    def test_zero_drop_recovery(self, mlp_artifact, name):
+        from repro.serve import ProcessPlacement, SharedArtifactSegment
+
+        kind, policy = CHAOS_CONFIGS[name]
+        cache = ArtifactCache()
+        placement_type = ProcessPlacement if kind == "process" else ThreadPlacement
+        # Requests dwell in the engines' batching window, so the kill
+        # strands some of them.
+        placement = placement_type(
+            mlp_artifact, cache, batch_window_s=0.25, record_batches=True
+        )
+        pool = EnginePool(placement, policy)
+        try:
+            assert pool.supports_chaos
+            inputs = np.random.default_rng(12).standard_normal((8, 3, 8, 8))
+            pendings = [pool.submit(x) for x in inputs]
+            assert pool.chaos_kill(engine_index=0) == 0
+            deadline = time.monotonic() + 10
+            while pool.stats.engine_deaths < 1:
+                assert time.monotonic() < deadline, "death not detected"
+                time.sleep(0.005)
+            run = ReplayRun(
+                payload={},
+                outputs=np.stack([p.result(timeout=30) for p in pendings]),
+                request_ids=[p.request_id for p in pendings],
+                engine_indices=[p.engine_index for p in pendings],
+            )
+
+            class _PoolSession:  # verify_replay's minimal session surface
+                input_dtype = pool.input_dtype
+                engine_records = staticmethod(pool.engine_records)
+
+            assert verify_replay(_PoolSession(), inputs, run, expected=8) == 8
+            stats = pool.stats
+            assert stats.engine_deaths == 1 and stats.redispatched >= 1
+            assert stats.completed == 8 and stats.errors == 0
+            actions = [event.action for event in pool.scale_events()]
+            assert actions[:2] == ["death", "replace"]
+            assert len(pool) >= policy.min_engines
+            assert cache.active_leases() == len(pool)
+            scaling = pool.describe_scaling()
+            assert scaling["placement"] == kind
+            assert scaling["enabled"] == (policy.min_engines < policy.max_engines)
+            assert scaling["engine_deaths"] == 1
+        finally:
+            pool.close(drain=True, timeout=30)
+        assert cache.active_leases() == 0
+        assert cache.stats.leases == cache.stats.releases
+        if kind == "process":
+            segment = placement.segment
+            with pytest.raises(FileNotFoundError):
+                SharedArtifactSegment.attach(segment.name, segment.nbytes)
+
+    def test_bare_model_pool_cannot_chaos(self):
+        pool = fixed_pool([make_toy_model()])
+        try:
+            assert not pool.supports_chaos
+            with pytest.raises(RuntimeError, match="cannot replace"):
+                pool.chaos_kill()
+        finally:
+            pool.close()

@@ -1,10 +1,11 @@
 """Tests for repro.serve.procpool: process-backed serving over one
 shared-memory artifact copy — the pickle-free wire codec, cross-worker
 parity, chaos-kill supervision with zero-drop redispatch, shm segment
-lifecycle, and the ServeConfig integration that makes thread- and
-process-backed pools interchangeable."""
+lifecycle, process + autoscale, and the ServeConfig integration that
+makes the thread and process placements interchangeable."""
 
 import gc
+import sys
 import threading
 import time
 
@@ -15,12 +16,13 @@ from repro.serve import (
     ArtifactCache,
     AutoscalePolicy,
     EnginePool,
-    ProcessEnginePool,
+    ProcessPlacement,
     ReplayRun,
     ServeConfig,
     ServingSession,
     SharedArtifactSegment,
     compile_artifact,
+    resolve_policy,
     verify_replay,
 )
 from repro.serve.procpool import (
@@ -44,6 +46,17 @@ def wait_until(predicate, timeout_s: float = 10.0, what: str = "condition"):
         if time.monotonic() > deadline:
             raise AssertionError(f"{what} did not hold within {timeout_s}s")
         time.sleep(0.01)
+
+
+def process_pool(
+    artifact, cache, workers=2, policy=None, autostart=True, **worker_kwargs
+) -> EnginePool:
+    """An EnginePool of worker processes (fixed at ``workers`` unless a
+    ``policy`` is given)."""
+    placement = ProcessPlacement(artifact, cache, **worker_kwargs)
+    if policy is None:
+        policy = AutoscalePolicy(min_engines=workers, max_engines=workers)
+    return EnginePool(placement, policy, autostart=autostart)
 
 
 class PoolSession:
@@ -145,12 +158,12 @@ class TestProcessPoolServing:
         answer is bit-exact against the parent-side verification twins;
         close() releases every lease and unlinks the segment."""
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             mlp_artifact, cache, workers=2,
             batch_window_s=0.0, record_batches=True,
         )
-        segment_name = pool.segment.name
-        segment_nbytes = pool.segment.nbytes
+        segment_name = pool.placement.segment.name
+        segment_nbytes = pool.placement.segment.nbytes
         try:
             inputs = np.random.default_rng(0).standard_normal((8, 3, 8, 8))
             run = replay_pool(pool, inputs)
@@ -159,7 +172,7 @@ class TestProcessPoolServing:
             stats = pool.stats
             assert stats.requests == stats.completed == 8
             assert stats.backend == "float"
-            shm = pool.shm_stats()
+            shm = pool.placement.shm_stats()
             assert shm["nbytes"] == mlp_artifact.nbytes
             assert shm["attached"] == 2 and not shm["unlinked"]
             # One verification twin leased per worker, all still active.
@@ -167,13 +180,13 @@ class TestProcessPoolServing:
         finally:
             pool.close(drain=True, timeout=30)
         assert cache.active_leases() == 0
-        assert pool.shm_stats()["unlinked"]
+        assert pool.placement.shm_stats()["unlinked"]
         with pytest.raises(FileNotFoundError):  # no shm leak
             SharedArtifactSegment.attach(segment_name, segment_nbytes)
 
     def test_answers_match_in_process_model(self, mlp_artifact):
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             mlp_artifact, cache, workers=2, batch_window_s=0.0
         )
         try:
@@ -191,7 +204,7 @@ class TestProcessPoolServing:
         model, manifest = quantized_mlp_factory(act_bits=4)
         artifact = compile_artifact(model, manifest)
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             artifact, cache, workers=2,
             batch_window_s=0.0, record_batches=True, backend="integer",
         )
@@ -207,16 +220,15 @@ class TestProcessPoolServing:
             pool.close(drain=True, timeout=30)
 
     def test_is_an_engine_pool(self, mlp_artifact):
-        assert issubclass(ProcessEnginePool, EnginePool)
-        assert ProcessEnginePool.supports_chaos
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             mlp_artifact, cache, workers=1, batch_window_s=0.0
         )
         try:
+            assert isinstance(pool, EnginePool) and pool.supports_chaos
             scaling = pool.describe_scaling()
-            assert scaling["kind"] == "process" and not scaling["enabled"]
-            assert scaling["workers"] == 1
+            assert scaling["placement"] == "process" and not scaling["enabled"]
+            assert scaling["engines"] == 1
             assert pool.peak_engines == 1
         finally:
             pool.close(drain=True, timeout=30)
@@ -226,7 +238,7 @@ class TestProcessPoolServing:
         rows queued before start() reach the worker only then, so they
         coalesce into full batches."""
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             mlp_artifact, cache, workers=1,
             batch_window_s=0.5, max_batch_size=4,
             record_batches=True, autostart=False,
@@ -253,7 +265,7 @@ class TestProcessPoolServing:
 
     def test_close_before_start_answers_held_rows(self, mlp_artifact):
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             mlp_artifact, cache, workers=1, batch_window_s=0.0, autostart=False
         )
         x = np.random.default_rng(6).standard_normal((3, 8, 8))
@@ -273,7 +285,7 @@ class TestProcessPoolServing:
         try:
             cache = ArtifactCache()
             for cycle in range(6):
-                pool = ProcessEnginePool(
+                pool = process_pool(
                     mlp_artifact, cache, workers=2, batch_window_s=0.0
                 )
                 try:
@@ -301,7 +313,7 @@ class TestProcessChaosKill:
         its lease and mapping, spawns a replacement, re-dispatches the
         orphans — and verify_replay(expected=N) proves zero drops."""
         cache = ArtifactCache()
-        pool = ProcessEnginePool(
+        pool = process_pool(
             mlp_artifact, cache, workers=2,
             batch_window_s=0.25,  # requests dwell in the worker's window
             record_batches=True,
@@ -330,7 +342,7 @@ class TestProcessChaosKill:
             actions = [event.action for event in pool.scale_events()]
             assert "death" in actions and "replace" in actions
             # shm refcount dropped for the corpse, replacement attached.
-            shm = pool.shm_stats()
+            shm = pool.placement.shm_stats()
             assert shm["attached"] == 2 and shm["detached_total"] >= 1
             # Lease accounting: corpse's twin released, replacement active.
             assert cache.stats.leases == 3 and cache.active_leases() == 2
@@ -339,7 +351,153 @@ class TestProcessChaosKill:
         finally:
             pool.close(drain=True, timeout=30)
         assert cache.active_leases() == 0
-        assert pool.shm_stats()["unlinked"]  # no shm leak after chaos
+        assert pool.placement.shm_stats()["unlinked"]  # no shm leak after chaos
+
+
+    def test_submit_to_a_lone_dead_worker_sweeps_and_replaces(
+        self, mlp_artifact
+    ):
+        """A dead worker turns submits away; when it is the only one and
+        the supervisor has not swept it yet, submit() sweeps itself:
+        the replacement answers instead of the caller seeing a closed
+        pool."""
+        cache = ArtifactCache()
+        inert = AutoscalePolicy(min_engines=1, max_engines=1, interval_s=60.0)
+        pool = process_pool(
+            mlp_artifact, cache, policy=inert,
+            batch_window_s=0.0, record_batches=True,
+        )
+        try:
+            pool.chaos_kill()
+            wait_until(lambda: pool.engines[0].worker_died, what="worker death")
+            x = np.random.default_rng(10).standard_normal((3, 8, 8))
+            pending = pool.submit(x)
+            served = pending.result(timeout=30)
+            assert pending.engine_index == 1
+            assert pool.stats.engine_deaths == 1
+            with no_grad():
+                local = mlp_artifact.model()(
+                    Tensor(x[None].astype(pool.input_dtype))
+                ).data[0]
+            np.testing.assert_array_equal(served, local)
+        finally:
+            pool.close(drain=True, timeout=30)
+        assert cache.active_leases() == 0
+
+
+    def test_racing_submitters_handle_one_death_once(self, mlp_artifact):
+        """Submitters race the supervisor to a lone dead worker under a
+        tiny switch interval: exactly one of them handles the death,
+        the others wait for its replacement, and every row answers
+        bit-exact."""
+        cache = ArtifactCache()
+        policy = AutoscalePolicy(min_engines=1, max_engines=1, interval_s=0.001)
+        pool = process_pool(
+            mlp_artifact, cache, policy=policy,
+            batch_window_s=0.0, record_batches=True,
+        )
+        clients, rows = 6, 5
+        inputs = np.random.default_rng(11).standard_normal((clients * rows, 3, 8, 8))
+        pendings = [None] * len(inputs)
+        errors = []
+
+        def client(offset):
+            try:
+                for row in range(offset, len(inputs), clients):
+                    pendings[row] = pool.submit(inputs[row])
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pool.chaos_kill()
+            threads = [
+                threading.Thread(target=client, args=(offset,))
+                for offset in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(previous)
+        try:
+            assert errors == []
+            run = ReplayRun(
+                payload={},
+                outputs=np.stack([p.result(timeout=30) for p in pendings]),
+                request_ids=[p.request_id for p in pendings],
+                engine_indices=[p.engine_index for p in pendings],
+            )
+            assert verify_replay(
+                PoolSession(pool), inputs, run, expected=len(inputs)
+            ) == len(inputs)
+            wait_until(lambda: pool.stats.engine_deaths >= 1, what="death")
+            actions = [event.action for event in pool.scale_events()]
+            assert actions.count("death") == 1 and actions.count("replace") == 1
+            assert len(pool) == 1 and cache.active_leases() == 1
+        finally:
+            pool.close(drain=True, timeout=30)
+        assert cache.active_leases() == 0
+        assert cache.stats.leases == cache.stats.releases == 2
+
+
+# ----------------------------------------------------------------------
+# process + autoscale: the policy is placement-agnostic
+# ----------------------------------------------------------------------
+class TestProcessAutoscale:
+    def test_scales_up_under_a_queued_burst(self, mlp_artifact):
+        """Rows queued before start() build depth on the one worker; the
+        supervisor spawns a second worker over the same segment, and
+        every row still answers bit-exact."""
+        cache = ArtifactCache()
+        policy = AutoscalePolicy(
+            min_engines=1, max_engines=2, scale_up_depth=3.0,
+            scale_down_depth=0.5, cooldown_s=0.0, interval_s=0.005,
+        )
+        pool = process_pool(
+            mlp_artifact, cache, policy=policy, autostart=False,
+            batch_window_s=0.0, record_batches=True,
+        )
+        segment = pool.placement.segment
+        try:
+            inputs = np.random.default_rng(8).standard_normal((16, 3, 8, 8))
+            pendings = [pool.submit(x) for x in inputs]
+            pool._start_supervisor()
+            wait_until(lambda: pool.stats.scale_ups >= 1, what="scale-up")
+            assert pool.peak_engines == 2
+            assert pool.placement.shm_stats()["attached"] == 2
+            assert cache.stats.leases == 2
+            pool.start()
+            run = ReplayRun(
+                payload={},
+                outputs=np.stack([p.result(timeout=30) for p in pendings]),
+                request_ids=[p.request_id for p in pendings],
+                engine_indices=[p.engine_index for p in pendings],
+            )
+            assert verify_replay(PoolSession(pool), inputs, run, expected=16) == 16
+            scaling = pool.describe_scaling()
+            assert scaling["enabled"] and scaling["placement"] == "process"
+            assert scaling["events"][0]["action"] == "up"
+        finally:
+            pool.close(drain=True, timeout=30)
+        assert cache.active_leases() == 0
+        assert cache.stats.leases == cache.stats.releases
+        with pytest.raises(FileNotFoundError):  # no shm leak
+            SharedArtifactSegment.attach(segment.name, segment.nbytes)
+
+    def test_session_process_autoscale(self, mlp_artifact):
+        policy = AutoscalePolicy(min_engines=1, max_engines=3, interval_s=0.01)
+        config = ServeConfig(pool="process", autoscale=policy, record_batches=True)
+        with ServingSession(mlp_artifact, config=config) as session:
+            assert len(session.engines) == 1
+            assert session.pool.describe_scaling()["policy"] == policy.to_dict()
+            xs = np.random.default_rng(9).standard_normal((4, 3, 8, 8))
+            run = replay_pool(session, xs)
+            assert verify_replay(session, xs, run, expected=4) == 4
+        assert session.cache.active_leases() == 0
 
 
 # ----------------------------------------------------------------------
@@ -349,13 +507,10 @@ class TestSessionProcessPool:
     def test_config_validation(self, mlp_artifact):
         with pytest.raises(ValueError, match="unknown pool kind"):
             ServingSession(mlp_artifact, config=ServeConfig(pool="fiber"))
-        with pytest.raises(ValueError, match="not both"):
-            ServingSession(
-                mlp_artifact,
-                config=ServeConfig(
-                    pool="process", autoscale=AutoscalePolicy(max_engines=2)
-                ),
-            )
+        # Process + autoscale is a valid combination: the policy bounds
+        # the worker count.
+        policy = AutoscalePolicy(max_engines=2)
+        assert resolve_policy(ServeConfig(pool="process", autoscale=policy)) == policy
         with pytest.raises(ValueError, match="workers"):
             ServingSession(
                 mlp_artifact, config=ServeConfig(pool="process", engines=2)
@@ -369,7 +524,7 @@ class TestSessionProcessPool:
     def test_session_serves_through_worker_processes(self, mlp_artifact):
         config = ServeConfig(pool="process", workers=2, record_batches=True)
         with ServingSession(mlp_artifact, config=config) as session:
-            assert isinstance(session.pool, ProcessEnginePool)
+            assert isinstance(session.pool.placement, ProcessPlacement)
             xs = np.random.default_rng(4).standard_normal((4, 3, 8, 8))
             pendings = [session.submit(x) for x in xs]
             run = ReplayRun(
@@ -381,6 +536,6 @@ class TestSessionProcessPool:
             # Bit-exact parity via the standard guard — the same
             # verify_replay call the thread-backed session satisfies.
             assert verify_replay(session, xs, run, expected=4) == 4
-            # The session consumes the pool through the EnginePool
-            # interface: the same scaling surface as every other pool.
-            assert session.pool.describe_scaling()["kind"] == "process"
+            # The one EnginePool: the same scaling report as every
+            # other placement.
+            assert session.pool.describe_scaling()["placement"] == "process"

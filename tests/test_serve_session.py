@@ -13,6 +13,7 @@ from repro.serve import (
     ServeConfig,
     ServingSession,
     compile_artifact,
+    resolve_policy,
     save_artifact,
 )
 from repro.tensor.tensor import Tensor, no_grad
@@ -26,9 +27,22 @@ def artifact(quantized_mlp_factory):
 
 class TestConstruction:
     def test_from_artifact(self, artifact):
+        """An in-memory artifact is served through a private cache: the
+        engine's model is a leased clone, bit-identical to the
+        prototype, and the lease is returned on close."""
         with ServingSession(artifact) as session:
             assert session.artifact is artifact
-            assert session.model is artifact.model()
+            assert session.model is not artifact.model()
+            prototype = artifact.model().state_dict()
+            served = session.model.state_dict()
+            assert sorted(served) == sorted(prototype)
+            for name, value in prototype.items():
+                assert served[name].dtype == value.dtype
+                assert served[name].tobytes() == value.tobytes()
+            cache = session.cache
+            assert cache is not None and cache.active_leases() == 1
+        assert cache.active_leases() == 0
+        assert cache.stats.leases == cache.stats.releases == 1
 
     def test_from_path_leases_private_clones(self, quantized_mlp_factory, tmp_path):
         """Path-sourced sessions share the cached artifact (one parse,
@@ -58,7 +72,7 @@ class TestConstruction:
                 session.warmup()
 
     def test_failed_construction_releases_leases(
-        self, quantized_mlp_factory, tmp_path
+        self, quantized_mlp_factory, tmp_path, monkeypatch
     ):
         """A session that leases clones but fails before standing up its
         pool must return the claims — otherwise the cache entry stays
@@ -66,13 +80,21 @@ class TestConstruction:
         model, manifest = quantized_mlp_factory()
         path = tmp_path / "model.cqw"
         save_artifact(path, model, manifest)
+        import repro.serve.pool as pool_module
+
+        real_engine = pool_module.InferenceEngine
+        built = []
+
+        def second_engine_fails(model, **kwargs):
+            built.append(model)
+            if len(built) == 2:
+                raise ValueError("second engine construction failed")
+            return real_engine(model, **kwargs)
+
+        monkeypatch.setattr(pool_module, "InferenceEngine", second_engine_fails)
         cache = ArtifactCache()
-        with pytest.raises(ValueError, match="batch_window_s"):
-            ServingSession(
-                path,
-                config=ServeConfig(engines=2, batch_window_s=-1.0),
-                cache=cache,
-            )
+        with pytest.raises(ValueError, match="second engine"):
+            ServingSession(path, config=ServeConfig(engines=2), cache=cache)
         assert cache.stats.leases == 2
         assert cache.active_leases() == 0
 
@@ -111,6 +133,94 @@ class TestConstruction:
     def test_bad_source_rejected(self):
         with pytest.raises(TypeError, match="source"):
             ServingSession(42)
+
+
+#: The autoscale leg of the resolution table. Its 60 s interval keeps
+#: the supervisor inert, so the served count is the policy's floor.
+TABLE_POLICY = AutoscalePolicy(min_engines=3, max_engines=4, interval_s=60.0)
+
+#: (engines, workers, pool, autoscale) -> live engines served, or
+#: ValueError. ``engines`` sizes a thread pool and ``workers`` a
+#: process pool; the other must stay at its default (1 and 2). With a
+#: policy the count comes from ``min_engines``, and a count field set
+#: away from its default must agree with it.
+RESOLUTION_TABLE = [
+    (1, 2, "thread", None, 1),
+    (3, 2, "thread", None, 3),
+    (1, 3, "thread", None, ValueError),
+    (3, 3, "thread", None, ValueError),
+    (1, 2, "thread", TABLE_POLICY, 3),
+    (3, 2, "thread", TABLE_POLICY, 3),
+    (1, 3, "thread", TABLE_POLICY, ValueError),
+    (3, 3, "thread", TABLE_POLICY, ValueError),
+    (1, 2, "process", None, 2),
+    (1, 3, "process", None, 3),
+    (3, 2, "process", None, ValueError),
+    (3, 3, "process", None, ValueError),
+    (1, 2, "process", TABLE_POLICY, 3),
+    (1, 3, "process", TABLE_POLICY, 3),
+    (3, 2, "process", TABLE_POLICY, ValueError),
+    (3, 3, "process", TABLE_POLICY, ValueError),
+]
+
+
+class TestConfigResolution:
+    @pytest.mark.parametrize(
+        "engines,workers,pool,autoscale,expected", RESOLUTION_TABLE
+    )
+    def test_resolution_table(
+        self, artifact, engines, workers, pool, autoscale, expected
+    ):
+        config = ServeConfig(
+            engines=engines,
+            workers=workers,
+            pool=pool,
+            autoscale=autoscale,
+            batch_window_s=0.0,
+        )
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                resolve_policy(config)
+            cache = ArtifactCache()
+            with pytest.raises(ValueError):
+                ServingSession(artifact, config=config, cache=cache)
+            assert cache.stats.leases == 0
+            return
+        policy = autoscale or AutoscalePolicy(
+            min_engines=expected, max_engines=expected
+        )
+        assert resolve_policy(config) == policy
+        with ServingSession(artifact, config=config) as session:
+            assert len(session.engines) == expected
+            scaling = session.pool.describe_scaling()
+            assert scaling["placement"] == pool
+            assert scaling["engines"] == expected
+            assert scaling["enabled"] == (autoscale is not None)
+            assert scaling["policy"] == policy.to_dict()
+            # Every engine answers: round-robin reaches each one.
+            xs = np.zeros((expected, 3, 8, 8))
+            served = {session.submit(x).engine_index for x in xs}
+            session.drain(timeout=30)
+            assert served == set(range(expected))
+
+    def test_count_disagreeing_with_policy_floor_raises(self, artifact):
+        policy = AutoscalePolicy(min_engines=2, max_engines=4)
+        with pytest.raises(ValueError, match="min_engines=2"):
+            resolve_policy(ServeConfig(engines=3, autoscale=policy))
+        with pytest.raises(ValueError, match="min_engines=2"):
+            resolve_policy(ServeConfig(pool="process", workers=3, autoscale=policy))
+
+    def test_bare_model_rules(self, quantized_mlp_factory):
+        model, _manifest = quantized_mlp_factory()
+        with pytest.raises(ValueError, match="fan out"):
+            ServingSession(
+                model, config=ServeConfig(autoscale=AutoscalePolicy(max_engines=2))
+            )
+        with pytest.raises(ValueError, match="integer backend"):
+            ServingSession(model, config=ServeConfig(backend="integer"))
+        with ServingSession(model) as session:
+            assert session.model is model  # served as given, never cloned
+            assert not session.pool.supports_chaos
 
 
 class TestMultiEngineSession:
