@@ -100,6 +100,11 @@ class CQConfig:
             )
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        for name in ("samples_per_class", "search_batch_size", "refine_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
         clip = self.refine_max_grad_norm
         if clip is not None and clip != "auto":
             if not isinstance(clip, (int, float)) or clip <= 0:

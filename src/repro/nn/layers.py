@@ -118,18 +118,20 @@ class _BatchNormBase(Module):
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
             var = x.var(axis=axes, keepdims=True)
-            m = self.momentum
-            new_mean = (1 - m) * self.running_mean + m * mean.data.reshape(-1)
-            new_var = (1 - m) * self.running_var + m * var.data.reshape(-1)
-            self._set_buffer("running_mean", new_mean)
-            self._set_buffer("running_var", new_var)
-            self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
+            self._update_running_stats(mean.data.reshape(-1), var.data.reshape(-1))
         else:
             mean = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))
         inv_std = (var + self.eps) ** -0.5
         normalized = (x - mean) * inv_std
         return normalized * self.weight.reshape(shape) + self.bias.reshape(shape)
+
+    def _update_running_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Fold one batch's statistics into the running EMA."""
+        m = self.momentum
+        self._set_buffer("running_mean", (1 - m) * self.running_mean + m * mean)
+        self._set_buffer("running_var", (1 - m) * self.running_var + m * var)
+        self._set_buffer("num_batches_tracked", self.num_batches_tracked + 1)
 
     def _normalize_inference(self, x: np.ndarray, shape) -> np.ndarray:
         """The eval formula above without Tensor nodes: the same four

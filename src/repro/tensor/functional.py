@@ -161,14 +161,50 @@ def conv2d(
     def backward(grad):
         grad2 = grad.reshape(n, c_out, oh * ow)
         grad_w = np.einsum("nfo,nko->fk", grad2, cols, optimize=True)
-        grad_cols = np.einsum("fk,nfo->nko", w2, grad2, optimize=True)
-        grad_x = col2im(grad_cols, x.shape, (kh, kw), stride, padding)
+        grad_x = (
+            _conv_input_grad(w2, grad2, x.shape, (kh, kw), stride, padding, (oh, ow))
+            if x.requires_grad
+            else None
+        )
         results = [(x, grad_x), (weight, grad_w.reshape(weight.shape))]
         if bias is not None:
             results.append((bias, grad2.sum(axis=(0, 2))))
         return tuple(results)
 
     return Tensor._make(out, parents, backward, "conv2d")
+
+
+#: Samples per block of the tap-wise scatter are chosen so that one
+#: block of tap products stays about this size, i.e. in cache while
+#: all kh×kw taps read it.
+_SCATTER_BLOCK_BYTES = 1 << 20
+
+
+def _conv_input_grad(w2, grad2, input_shape, kernel, stride, padding, out_size):
+    """``col2im`` of the column gradient, bit for bit, one tap at a time.
+
+    The column gradient is the same contraction as before (so the same
+    GEMM and the same bits), only produced channel-last as
+    ``(N, OH, OW, C, KH, KW)``. Tap ``(i, j)`` is then added into a
+    zeroed, padded, channel-last buffer in ``col2im``'s order, a block of
+    samples at a time so the products are read from cache. A GEMM per
+    tap would be faster still, but BLAS rounds a sub-GEMM differently
+    from the full one, so its bits would depend on the shapes.
+    """
+    n, c, h, w = input_shape
+    kh, kw = kernel
+    sh, sw = stride
+    ph, pw = padding
+    oh, ow = out_size
+    products = np.einsum("fk,nfo->nok", w2, grad2, optimize=True).reshape(n, oh, ow, c, kh, kw)
+    padded = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=products.dtype)
+    block = max(1, _SCATTER_BLOCK_BYTES // max(1, products[0].nbytes))
+    for start in range(0, n, block):
+        dst, src = padded[start : start + block], products[start : start + block]
+        for i in range(kh):
+            for j in range(kw):
+                dst[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += src[..., i, j]
+    return np.ascontiguousarray(padded[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +214,8 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
     """Max pooling over NCHW input.
 
     The kh×kw strided slices of the input are folded into one output
-    buffer with ``np.maximum``; no column matrix is built in the forward.
+    buffer with ``np.maximum``; the backward reuses the same slices, so
+    no column matrix is built in either direction.
     """
     kernel = _pair(kernel)
     stride = kernel if stride is None else _pair(stride)
@@ -188,26 +225,30 @@ def max_pool2d(x: Tensor, kernel: IntPair, stride: Optional[IntPair] = None) -> 
     oh = conv_output_size(h, kh, sh, 0)
     ow = conv_output_size(w, kw, sw, 0)
 
-    windows = [
-        x.data[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
-        for i in range(kh)
-        for j in range(kw)
-    ]
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    windows = [x.data[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] for i, j in taps]
     out = windows[0].copy()
     for window in windows[1:]:
         np.maximum(out, window, out=out)
 
     def backward(grad):
-        # The column matrix and the winner indices serve only the
-        # gradient, so a forward that is never differentiated pays for
-        # neither.
-        cols = im2col(x.data.reshape(n * c, 1, h, w), kernel, stride, (0, 0))
-        arg = cols.argmax(axis=1)  # (N*C, OH*OW)
-        grad_flat = grad.reshape(n * c, 1, oh * ow)
-        grad_cols = np.zeros_like(cols)
-        np.put_along_axis(grad_cols, arg[:, None, :], grad_flat, axis=1)
-        grad_x = col2im(grad_cols, (n * c, 1, h, w), kernel, stride, (0, 0))
-        return ((x, grad_x.reshape(x.shape)),)
+        # Tap by tap in im2col's (i, j) order, each output's gradient goes
+        # to the first window element that equals the max (argmax's rule;
+        # a NaN window's max is NaN and its first NaN wins). Each tap adds
+        # exactly what col2im adds for it, so overlapping windows sum in
+        # col2im's order.
+        grad = grad.astype(x.data.dtype, copy=False)
+        grad_x = np.zeros(x.shape, dtype=x.data.dtype)
+        nan_windows = np.isnan(out).any()
+        taken = np.zeros(out.shape, dtype=bool)
+        for (i, j), window in zip(taps, windows):
+            hit = window == out
+            if nan_windows:
+                hit |= np.isnan(window)
+            hit &= ~taken
+            taken |= hit
+            grad_x[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += np.where(hit, grad, 0.0)
+        return ((x, grad_x),)
 
     return Tensor._make(out, (x,), backward, "max_pool2d")
 

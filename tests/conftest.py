@@ -112,3 +112,31 @@ def finite_difference(param_data: np.ndarray, loss_fn, eps: float = 1e-6) -> np.
         flat[index] = original
         grad_flat[index] = (upper - lower) / (2 * eps)
     return grad
+
+
+def oracle_reestimate_batchnorm_stats(model, batches, passes=10):
+    """BN re-estimation as plain forwards: reset, then ``passes`` sweeps."""
+    from repro.nn.layers import _BatchNormBase
+    from repro.tensor import Tensor, no_grad
+
+    for bn in model.modules():
+        if isinstance(bn, _BatchNormBase):
+            bn._set_buffer("running_mean", np.zeros(bn.num_features))
+            bn._set_buffer("running_var", np.ones(bn.num_features))
+            bn._set_buffer("num_batches_tracked", np.zeros(1))
+    was_training = model.training
+    model.train()
+    with no_grad():
+        for _ in range(passes):
+            for batch in batches:
+                model(Tensor(batch))
+    model.train(was_training)
+
+
+def state_bytes(model):
+    """A model's state_dict as ``{name: (dtype, shape, bytes)}``, for
+    byte-equality checks."""
+    return {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        for name, value in model.state_dict().items()
+    }

@@ -3,13 +3,25 @@
 import numpy as np
 import pytest
 
+import repro.tensor.functional as functional
 from repro.data.synthetic import make_synth_cifar
+from repro.models.resnet import ResNet20
 from repro.models.vgg import VGGSmall
-from repro.nn.layers import BatchNorm2d
+from repro.nn.layers import (
+    BatchNorm1d,
+    BatchNorm2d,
+    Conv2d,
+    Dropout,
+    Flatten,
+    Linear,
+    ReLU,
+)
+from repro.nn.module import Sequential
 from repro.quant import quantize_model, quantized_layers
 from repro.quant.bn import reestimate_batchnorm_stats
 from repro.tensor import Tensor
 from repro.utils import clone_module
+from tests.conftest import oracle_reestimate_batchnorm_stats, state_bytes
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +113,75 @@ class TestReestimation:
             reestimate_batchnorm_stats(model, [], passes=1)
         with pytest.raises(ValueError):
             reestimate_batchnorm_stats(model, [dataset.train_images[:5]], passes=0)
+        # A bad batch is caught before any buffer is reset.
+        clone = clone_module(model)
+        before = state_bytes(clone)
+        for bad, message in [
+            (np.empty((0, 3, 8, 8)), "batch 1 is empty"),
+            (np.zeros((4, 3, 8, 7)), "batch 1 has shape"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                reestimate_batchnorm_stats(clone, [dataset.train_images[:4], bad])
+            assert state_bytes(clone) == before
+
+
+def _dropout_net():
+    return Sequential(
+        Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(2)),
+        BatchNorm2d(4),
+        ReLU(),
+        Flatten(),
+        Dropout(0.5, rng=np.random.default_rng(5)),
+        Linear(4 * 8 * 8, 6, rng=np.random.default_rng(3)),
+        BatchNorm1d(6),
+    )
+
+
+class TestReplay:
+    """Replayed passes must leave exactly the state of run passes."""
+
+    @staticmethod
+    def count_forwards(monkeypatch):
+        calls = []
+        original = functional.conv2d
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(functional, "conv2d", counting)
+        return calls
+
+    @pytest.mark.parametrize("arch", ["vgg", "resnet"])
+    @pytest.mark.parametrize("num_batches", [1, 2])
+    @pytest.mark.parametrize("act_bits", [None, 2])
+    def test_matches_ten_forwards(self, trained_vgg, monkeypatch, arch, num_batches, act_bits):
+        model, dataset = trained_vgg
+        if arch == "vgg":
+            base = clone_module(model)
+        else:
+            base = ResNet20(num_classes=4, base_width=2, rng=np.random.default_rng(1))
+        quantize_model(base, max_bits=4, act_bits=act_bits)
+        rng = np.random.default_rng(4)
+        for layer in quantized_layers(base).values():
+            layer.set_bits(rng.integers(1, 5, size=layer.num_filters))
+        batches = [dataset.train_images[20 * b : 20 * b + 20] for b in range(num_batches)]
+        expected = clone_module(base)
+        oracle_reestimate_batchnorm_stats(expected, batches, passes=10)
+
+        calls = self.count_forwards(monkeypatch)
+        got = clone_module(base)
+        reestimate_batchnorm_stats(got, batches, passes=10)
+        assert state_bytes(got) == state_bytes(expected)
+        convs = sum(isinstance(m, Conv2d) for m in base.modules())
+        # Weight-only models run one pass; observers force all ten.
+        passes_run = 10 if act_bits is not None else 1
+        assert len(calls) == convs * num_batches * passes_run
+
+    def test_active_dropout_runs_every_pass(self, tiny_dataset):
+        batches = [tiny_dataset.train_images[:10], tiny_dataset.train_images[10:20]]
+        expected, got = _dropout_net(), _dropout_net()
+        oracle_reestimate_batchnorm_stats(expected, batches, passes=10)
+        reestimate_batchnorm_stats(got, batches, passes=10)
+        assert state_bytes(got) == state_bytes(expected)
+        assert got[4]._rng.bit_generator.state == expected[4]._rng.bit_generator.state

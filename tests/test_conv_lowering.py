@@ -9,8 +9,13 @@ formulations kept here as test-only oracles:
 * the integer rescale epilogue — the out-of-place expression with a
   per-call ``filter_scales`` loop.
 
+The backward kernels must likewise produce the bits of the column
+formulation: the conv gradients of both einsums followed by ``col2im``,
+and the max-pool gradient scattered to each window's ``argmax``.
+
 The whole served VGG preset is also run with every oracle patched in,
-and pinned to a golden digest recorded on one host.
+and pinned to a golden digest recorded on one host; a small VGG and a
+ResNet-20 are refined for one epoch with the backward oracles patched in.
 """
 
 import hashlib
@@ -30,6 +35,7 @@ from repro.quant.qmodules import QConv2d, QLinear
 from repro.quant.uniform import quantization_levels
 from repro.tensor.functional import conv_output_size, im2col, max_pool2d
 from repro.tensor.tensor import Tensor, no_grad
+from tests.conftest import oracle_reestimate_batchnorm_stats, state_bytes
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -83,6 +89,19 @@ def oracle_conv2d(x, weight, bias=None, stride=1, padding=0):
     oh = conv_output_size(h, kh, stride[0], padding[0])
     ow = conv_output_size(w, kw, stride[1], padding[1])
     return Tensor(out.reshape(n, c_out, oh, ow))
+
+
+def oracle_conv2d_grads(x, weight, grad, stride=1, padding=0):
+    """``(grad_x, grad_w, grad_b)`` from both einsums and ``col2im``."""
+    stride, padding = functional._pair(stride), functional._pair(padding)
+    n, c_out = grad.shape[:2]
+    kernel = weight.shape[2:]
+    cols = oracle_im2col(x, kernel, stride, padding)
+    grad2 = grad.reshape(n, c_out, -1)
+    grad_w = np.einsum("nfo,nko->fk", grad2, cols, optimize=True)
+    grad_cols = np.einsum("fk,nfo->nko", weight.reshape(c_out, -1), grad2, optimize=True)
+    grad_x = functional.col2im(grad_cols, x.shape, kernel, stride, padding)
+    return grad_x, grad_w.reshape(weight.shape), grad2.sum(axis=(0, 2))
 
 
 def oracle_batch_norm(bn, x):
@@ -237,6 +256,63 @@ class TestMaxPool:
         out.backward(grad)
         assert_bitwise(x.grad, oracle_max_pool_grad(x.data, kernel, stride, grad))
 
+    @EXAMPLES
+    @given(windowed_input(padded=False), st.integers(0, 2**32 - 1))
+    def test_grad_path_routes_nan_windows_like_argmax(self, case, seed):
+        x, kernel, stride, _ = case
+        x[np.random.default_rng(seed).random(x.shape) < 0.2] = np.nan
+        x = Tensor(x, requires_grad=True)
+        out = max_pool2d(x, kernel, stride)
+        assert np.array_equal(out.data, oracle_max_pool(x.data, kernel, stride), equal_nan=True)
+        grad = np.random.default_rng(seed).standard_normal(out.shape).astype(x.data.dtype)
+        out.backward(grad)
+        assert_bitwise(x.grad, oracle_max_pool_grad(x.data, kernel, stride, grad))
+
+
+@st.composite
+def conv_case(draw):
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    # Up to 40 filters: BLAS rounds sub-GEMMs of the wider ones
+    # differently, which a GEMM per tap would show.
+    f = draw(st.integers(1, 40))
+    k, s, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    h = draw(st.integers(max(1, k - 2 * p), 9))
+    w = draw(st.integers(max(1, k - 2 * p), 9))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = make_input((n, c, h, w), dtype, draw(st.sampled_from(["contiguous", "strided"])), seed)
+    weight = make_input((f, c, k, k), dtype, "contiguous", seed + 1)
+    bias = make_input((1, 1, 1, f), dtype, "contiguous", seed + 2).reshape(f)
+    return x, weight, bias if draw(st.booleans()) else None, s, p, draw(st.booleans())
+
+
+class TestConvBackward:
+    @EXAMPLES
+    @given(conv_case())
+    def test_grads_match_einsum_col2im_oracle(self, case):
+        x_data, w_data, b_data, stride, padding, x_needs_grad = case
+        x = Tensor(x_data, requires_grad=x_needs_grad)
+        weight = Tensor(w_data, requires_grad=True)
+        bias = None if b_data is None else Tensor(b_data, requires_grad=True)
+        out = functional.conv2d(x, weight, bias, stride, padding)
+        grad = make_input(out.shape, out.dtype, "contiguous", 99)
+        out.backward(grad)
+        grad_x, grad_w, grad_b = oracle_conv2d_grads(x_data, w_data, grad, stride, padding)
+        if x_needs_grad:
+            assert_bitwise(x.grad, grad_x)
+        else:
+            assert x.grad is None
+        assert_bitwise(weight.grad, grad_w)
+        if bias is not None:
+            assert_bitwise(bias.grad, grad_b)
+
+    def test_input_grad_is_c_contiguous_nchw(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+        weight = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        out = functional.conv2d(x, weight, None, 2, 1)
+        (x_node, grad_x), _ = out._backward(np.ones(out.shape))
+        assert x_node is x and grad_x.shape == x.shape and grad_x.flags.c_contiguous
+
 
 class TestBatchNormInference:
     @EXAMPLES
@@ -355,6 +431,84 @@ class TestTraceSurface:
         with no_grad():
             functional.conv2d(Tensor(x), layer.weight, layer.bias, padding=1)
         assert calls == ["integer", "float"]
+
+
+# ----------------------------------------------------------------------
+# one refine epoch against the backward oracles
+# ----------------------------------------------------------------------
+KERNEL_CONV2D, KERNEL_MAX_POOL2D = functional.conv2d, functional.max_pool2d
+
+
+def patch_backward_oracles(monkeypatch, calls):
+    """Keep the forward kernels and route the conv and max-pool gradients
+    through their oracles; ``calls`` records each oracle backward."""
+
+    def conv2d(x, weight, bias=None, stride=1, padding=0):
+        with no_grad():
+            out = KERNEL_CONV2D(x, weight, bias, stride, padding).data
+        parents = (x, weight) if bias is None else (x, weight, bias)
+
+        def backward(grad):
+            calls.append("conv2d")
+            grads = oracle_conv2d_grads(x.data, weight.data, grad, stride, padding)
+            return tuple(zip(parents, grads))
+
+        return Tensor._make(out, parents, backward, "conv2d")
+
+    def max_pool2d(x, kernel, stride=None):
+        kernel = functional._pair(kernel)
+        stride = kernel if stride is None else functional._pair(stride)
+        with no_grad():
+            out = KERNEL_MAX_POOL2D(x, kernel, stride).data
+
+        def backward(grad):
+            calls.append("max_pool2d")
+            return ((x, oracle_max_pool_grad(x.data, kernel, stride, grad)),)
+
+        return Tensor._make(out, (x,), backward, "max_pool2d")
+
+    monkeypatch.setattr(functional, "conv2d", conv2d)
+    monkeypatch.setattr(functional, "max_pool2d", max_pool2d)
+
+
+def refine_one_epoch(teacher, dataset, reestimate):
+    """Quantize a clone of ``teacher``, re-estimate its BN statistics and
+    refine it for one epoch; returns its state and loss history."""
+    from repro.core.config import CQConfig
+    from repro.core.distill import refine_quantized_model
+    from repro.data import ArrayDataset
+    from repro.quant import quantize_model, quantized_layers
+    from repro.utils import clone_module
+
+    student = clone_module(teacher)
+    quantize_model(student, max_bits=4)
+    rng = np.random.default_rng(6)
+    for layer in quantized_layers(student).values():
+        layer.set_bits(rng.integers(1, 5, size=layer.num_filters))
+    reestimate(student, [dataset.train_images[:50]], passes=10)
+    config = CQConfig(act_bits=None, refine_epochs=1, refine_batch_size=25)
+    train = ArrayDataset(dataset.train_images, dataset.train_labels)
+    history = refine_quantized_model(student, teacher, train, None, config)
+    return state_bytes(student), [(m.loss, m.accuracy) for m in history.train]
+
+
+@pytest.mark.parametrize("arch", ["vgg", "resnet"])
+def test_refine_epoch_matches_backward_oracles(arch, tiny_dataset, monkeypatch):
+    from repro.models.resnet import ResNet20
+    from repro.models.vgg import VGGSmall
+    from repro.quant.bn import reestimate_batchnorm_stats
+
+    rng = np.random.default_rng(0)
+    if arch == "vgg":
+        teacher = VGGSmall(num_classes=4, image_size=8, width=4, rng=rng)
+    else:
+        teacher = ResNet20(num_classes=4, base_width=4, rng=rng)
+    got = refine_one_epoch(teacher, tiny_dataset, reestimate_batchnorm_stats)
+    calls = []
+    patch_backward_oracles(monkeypatch, calls)
+    expected = refine_one_epoch(teacher, tiny_dataset, oracle_reestimate_batchnorm_stats)
+    assert "conv2d" in calls and ("max_pool2d" in calls) == (arch == "vgg")
+    assert got == expected
 
 
 # ----------------------------------------------------------------------

@@ -190,3 +190,18 @@ class TestSearchConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             CQConfig(alpha=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("search_batch_size", 0),
+            ("refine_batch_size", 0),
+            ("samples_per_class", 0),
+            ("temperature", 0.0),
+        ],
+    )
+    def test_bad_sizes_fail_at_construction(self, field, value):
+        # Each would otherwise fail only after importance scoring,
+        # search and build have run.
+        with pytest.raises(ValueError, match=field):
+            CQConfig(**{field: value})
