@@ -22,9 +22,11 @@ cost
 serve
     Load a CQW1 serving artifact (written by ``quantize
     --save-artifact``), reconstruct the model bit-exactly from the
-    integer codes, and replay a concurrent request load through the
-    micro-batching inference engine, printing a throughput/latency
-    report and a bit-exact parity check. ``--engines N`` fans the load
+    integer codes, and replay a traffic trace through the
+    micro-batching inference engine — by default a backlog drained by
+    ``--concurrency`` closed-loop clients, or an open-loop ``--trace``
+    at ``--rate`` — printing a throughput/latency report and a
+    bit-exact parity check. ``--engines N`` fans the load
     across N engines, each serving a private model clone leased from
     the content-hash artifact cache; ``--repeat N`` starts N serving
     rounds in sequence to demonstrate the cache.
@@ -62,6 +64,7 @@ from repro.core.report import summarize
 from repro.experiments.presets import SCALES, get_pretrained
 from repro.models.registry import available_models
 from repro.runner.registry import FIGURE_NAMES as _FIGURES
+from repro.serve.trace import TRACE_KINDS
 from repro.utils.checkpoint import save_checkpoint
 
 
@@ -150,7 +153,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--artifact", required=True, help="CQW1 serving artifact path")
     serve.add_argument("--requests", type=int, default=64, help="replayed requests")
-    serve.add_argument("--concurrency", type=int, default=4, help="client threads")
+    serve.add_argument(
+        "--concurrency",
+        type=int,
+        default=4,
+        help="closed-loop clients of the backlog trace (at most this many "
+        "requests outstanding)",
+    )
     serve.add_argument(
         "--batch-window-ms",
         type=float,
@@ -187,10 +196,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--trace",
-        choices=("uniform", "poisson", "bursty", "diurnal"),
-        default=None,
-        help="open-loop arrival-process replay at --rate (default: the "
-        "closed-loop client replay at --concurrency)",
+        choices=TRACE_KINDS,
+        default="backlog",
+        help="arrival process: 'backlog' queues every request at t=0 and "
+        "replays it from --concurrency clients; the others are open-loop "
+        "replays at --rate",
     )
     serve.add_argument(
         "--rate",
@@ -224,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--autoscale",
         action="store_true",
         help="scale engines from queue depth between --engines (min) and "
-        "--max-engines instead of a fixed fan-out (trace mode only)",
+        "--max-engines instead of a fixed fan-out (open-loop --trace only)",
     )
     serve.add_argument(
         "--max-engines",
@@ -571,9 +581,7 @@ def _run_serve(args) -> int:
         TraceConfig,
         cycle_inputs,
         generate_trace,
-        render_replay,
         render_trace_replay,
-        replay_requests,
         replay_trace,
         resolve_policy,
         verify_replay,
@@ -588,8 +596,14 @@ def _run_serve(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if (args.autoscale or args.chaos) and args.trace is None:
-        print("serve: --autoscale/--chaos need --trace", file=sys.stderr)
+    if args.concurrency < 1:
+        print(
+            f"serve: --concurrency must be >= 1, got {args.concurrency}",
+            file=sys.stderr,
+        )
+        return 2
+    if (args.autoscale or args.chaos) and args.trace == "backlog":
+        print("serve: --autoscale/--chaos need an open-loop --trace", file=sys.stderr)
         return 2
     try:
         policy = None
@@ -609,12 +623,6 @@ def _run_serve(args) -> int:
             workers=args.processes or ServeConfig.workers,
         )
         resolve_policy(config)
-    except ValueError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
-    cache = ArtifactCache()
-    trace = None
-    if args.trace is not None:
         trace = generate_trace(
             TraceConfig(
                 kind=args.trace,
@@ -625,6 +633,12 @@ def _run_serve(args) -> int:
                 duty=args.duty,
             )
         )
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
+    cache = ArtifactCache()
+    concurrency = args.concurrency if args.trace == "backlog" else None
+    kill_at = 0.35 * max(trace.duration_s, 1e-3) if args.chaos else None
     inputs = None
     for round_index in range(max(1, args.repeat)):
         session = ServingSession(args.artifact, config=config, cache=cache)
@@ -632,24 +646,14 @@ def _run_serve(args) -> int:
         manifest = artifact.manifest
         if inputs is None:
             dataset = get_dataset(manifest.dataset, scale=manifest.scale, seed=manifest.seed)
-            count = args.requests if trace is None else trace.rows
-            inputs = cycle_inputs(dataset.test_images, count)
-            fanout_note = (
-                f"{args.processes} worker process(es)"
-                if args.processes
-                else f"{args.engines} engine(s)"
-            )
-            load_note = (
-                f"replaying {len(inputs)} requests from {args.concurrency} "
-                f"clients across {fanout_note}"
-                if trace is None
-                else trace.describe()
-                + (
-                    f"; autoscale {policy.min_engines}..{policy.max_engines}"
-                    if policy is not None
-                    else f"; {fanout_note}"
-                )
-            )
+            inputs = cycle_inputs(dataset.test_images, trace.rows)
+            if policy is not None:
+                fanout_note = f"autoscale {policy.min_engines}..{policy.max_engines}"
+            elif args.processes:
+                fanout_note = f"across {args.processes} worker process(es)"
+            else:
+                fanout_note = f"across {args.engines} engine(s)"
+            load_note = f"{trace.describe()}; {fanout_note}"
             if args.backend != "float":
                 load_note += f"; {args.backend} backend"
             print(
@@ -658,25 +662,15 @@ def _run_serve(args) -> int:
                 f"{load_note}"
             )
         try:
-            if trace is None:
-                run = replay_requests(session, inputs, concurrency=args.concurrency)
-                print(render_replay(run.payload, title=f"round {round_index + 1}"))
-            else:
-                kill_at = (
-                    0.35 * max(trace.duration_s, 1e-3) if args.chaos else None
-                )
-                run = replay_trace(
-                    session,
-                    inputs,
-                    trace,
-                    slo_ms=args.slo_ms,
-                    chaos_kill_at_s=kill_at,
-                )
-                print(
-                    render_trace_replay(
-                        run.payload, title=f"round {round_index + 1}"
-                    )
-                )
+            run = replay_trace(
+                session,
+                inputs,
+                trace,
+                slo_ms=args.slo_ms,
+                chaos_kill_at_s=kill_at,
+                concurrency=concurrency,
+            )
+            print(render_trace_replay(run.payload, title=f"round {round_index + 1}"))
             if not args.no_verify:
                 verified = verify_replay(
                     session, inputs, run, expected=len(inputs)

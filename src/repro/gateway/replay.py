@@ -27,14 +27,12 @@ from repro.gateway.registry import ArtifactRegistry, ArtifactSpec
 from repro.gateway.server import GatewayServer
 from repro.serve.pool import AutoscalePolicy
 from repro.serve.replay import (
-    build_uniform_artifact,
-    cycle_inputs,
+    build_replay_point,
     render_trace_replay,
+    replay_and_verify,
     replay_trace,
     verify_replay,
 )
-from repro.serve.session import ServingSession
-from repro.serve.trace import TraceConfig, generate_trace
 
 
 def run_point(
@@ -80,22 +78,9 @@ def run_point(
     The knobs map straight onto an :class:`ArtifactSpec`, which
     :meth:`ArtifactRegistry.register` validates.
     """
-    artifact = build_uniform_artifact(
-        model=model, dataset=dataset, scale=scale, seed=seed, bits=bits
+    artifact, traffic, row_inputs = build_replay_point(
+        model, dataset, scale, seed, bits, trace, requests, rate_rps, batch_mix
     )
-    from repro.experiments.presets import get_dataset
-
-    data = get_dataset(dataset, scale=scale, seed=seed)
-    traffic = generate_trace(
-        TraceConfig(
-            kind=trace,
-            requests=int(requests),
-            rate_rps=float(rate_rps),
-            seed=int(seed),
-            batch_sizes=tuple(int(b) for b in batch_mix),
-        )
-    )
-    row_inputs = cycle_inputs(data.test_images, traffic.rows)
 
     policy: Optional[AutoscalePolicy] = None
     if autoscale:
@@ -157,18 +142,11 @@ def run_point(
         "wire": run.payload,
     }
     if compare_inprocess:
-        session = ServingSession(artifact, config=spec.serve_config())
-        try:
-            baseline = replay_trace(
-                session, row_inputs, traffic, slo_ms=float(slo_ms)
-            )
-            baseline.payload["verified_requests"] = int(
-                verify_replay(session, row_inputs, baseline, expected=traffic.rows)
-            )
-        finally:
-            session.close()
-        payload["inprocess"] = baseline.payload
-        inprocess_wall = float(baseline.payload["wall_s"])
+        baseline = replay_and_verify(
+            artifact, spec.serve_config(), row_inputs, traffic, slo_ms
+        )
+        payload["inprocess"] = baseline
+        inprocess_wall = float(baseline["wall_s"])
         payload["overhead"] = {
             "wire_wall_s": float(wire_wall_s),
             "inprocess_wall_s": inprocess_wall,

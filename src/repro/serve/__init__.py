@@ -19,11 +19,11 @@ a policy with ``min_engines == max_engines``.
 (``ServeConfig`` picks placement and fan-out, and
 :func:`~repro.serve.session.resolve_policy` holds every rule about how
 those knobs combine);
-:mod:`~repro.serve.replay` generates request-replay load —
-closed-loop clients or seeded open-loop
-:class:`~repro.serve.trace.TrafficTrace` arrivals — and the sweepable
-``serve-replay`` benchmark unit. ``ServeConfig(backend="integer")``
-swaps the reconstructed-float forwards for direct integer-MAC
+:mod:`~repro.serve.replay` generates request-replay load from one
+driver over a seeded :class:`~repro.serve.trace.TrafficTrace` —
+open-loop arrivals, or a ``backlog`` drained by capped closed-loop
+clients — and the sweepable ``serve-replay`` benchmark unit.
+``ServeConfig(backend="integer")`` swaps the reconstructed-float forwards for direct integer-MAC
 execution of the packed codes (:mod:`~repro.serve.integer`), parity
 checked against the float engine within a derived rescale bound.
 
@@ -45,7 +45,6 @@ from repro.serve.artifact import (
     compile_artifact,
     load_artifact,
     load_artifact_bytes,
-    map_artifact_file,
     save_artifact,
     serialize_artifact,
 )
@@ -80,9 +79,7 @@ from repro.serve.procpool import ProcessPlacement, ProcessWorkerHandle
 from repro.serve.replay import (
     ReplayRun,
     cycle_inputs,
-    render_replay,
     render_trace_replay,
-    replay_requests,
     replay_trace,
     verify_replay,
 )
@@ -139,10 +136,7 @@ __all__ = [
     "integer_parity_rtol",
     "load_artifact",
     "load_artifact_bytes",
-    "map_artifact_file",
-    "render_replay",
     "render_trace_replay",
-    "replay_requests",
     "replay_trace",
     "resolve_policy",
     "save_artifact",

@@ -53,7 +53,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import mmap
 import struct
 import threading
 from collections import OrderedDict
@@ -280,16 +279,15 @@ class ServingArtifact:
     """The exact serialized bytes this artifact was parsed from.
 
     A ``bytes`` object for process-private loads; a ``memoryview`` over
-    the mapped backing (an ``mmap`` of the file or an attached
-    shared-memory segment) for zero-copy loads — the view keeps the
-    mapping alive, and the parse reads straight out of it.
+    an attached shared-memory segment for zero-copy loads — the view
+    keeps the mapping alive, and the parse reads straight out of it.
     """
 
     shared_nbytes: int = 0
-    """Bytes of :attr:`data` backed by a shared mapping (mmap / shm)
-    rather than process-private memory. ``nbytes`` for zero-copy loads,
-    0 for plain byte loads; reconstructed float weights are always a
-    private copy per process and are not counted here."""
+    """Bytes of :attr:`data` backed by a shared-memory mapping rather
+    than process-private memory. ``nbytes`` for zero-copy loads, 0 for
+    plain byte loads; reconstructed float weights are always a private
+    copy per process and are not counted here."""
 
     payload_nbytes: int = 0
     """Bytes of the CQW1 frames (the paper's storage figure, physical)."""
@@ -311,22 +309,12 @@ class ServingArtifact:
 
         This is the cache's **prototype**: the clone source for leases.
         Do not hand it to an engine while other leases may be cut from
-        it — serve :meth:`clone_model` copies instead.
+        it — serve :meth:`clone_model_for` copies instead.
         """
         with self._model_lock:
             if self._model is None:
                 self._model = build_serving_model(self)
             return self._model
-
-    def clone_model(self) -> Module:
-        """A private, bit-identical deep copy of the prototype model.
-
-        Parameter and buffer arrays are copied; the parsed integer
-        codes, manifest and serialized bytes stay shared through this
-        artifact (they are immutable after parse). This is the
-        copy-on-lease primitive behind :meth:`ArtifactCache.lease`.
-        """
-        return clone_module(self.model())
 
     def integer_model(self):
         """The compiled integer-backend prototype (built once, lazily).
@@ -344,13 +332,6 @@ class ServingArtifact:
                 self._integer_model = compile_integer_serving(self)
             return self._integer_model
 
-    def clone_integer_model(self):
-        """A private clone of the integer prototype (copy-on-lease).
-
-        The immutable code arrays stay shared across clones; per-spec
-        accumulator statistics are private to each clone."""
-        return self.integer_model().clone()
-
     def model_for(self, backend: str):
         """The prototype for ``backend`` (``"float"`` or ``"integer"``)."""
         if backend == "float":
@@ -360,12 +341,19 @@ class ServingArtifact:
         raise ValueError(f"unknown serving backend {backend!r}")
 
     def clone_model_for(self, backend: str):
-        """A private prototype clone for ``backend`` (copy-on-lease)."""
-        if backend == "float":
-            return self.clone_model()
+        """A private, bit-identical clone of the ``backend`` prototype.
+
+        This is the copy-on-lease primitive behind
+        :meth:`ArtifactCache.lease`. A float clone deep-copies parameter
+        and buffer arrays; an integer clone shares the immutable code
+        arrays and keeps per-spec accumulator statistics private. The
+        parsed codes, manifest and serialized bytes stay shared through
+        this artifact (they are immutable after parse).
+        """
+        prototype = self.model_for(backend)
         if backend == "integer":
-            return self.clone_integer_model()
-        raise ValueError(f"unknown serving backend {backend!r}")
+            return prototype.clone()
+        return clone_module(prototype)
 
     @property
     def private_nbytes(self) -> int:
@@ -437,7 +425,7 @@ def load_artifact_bytes(data: Union[bytes, bytearray, memoryview]) -> ServingArt
     """Parse serialized artifact bytes (CQW1 frames + CQS1/CQS2 sidecar).
 
     Zero-copy: a ``memoryview`` is parsed in place (and assumed to
-    reference a shared mapping — mmap'd file or shm segment — so the
+    reference a shared mapping such as a shm segment — so the
     artifact reports its bytes as :attr:`ServingArtifact.shared_nbytes`);
     ``bytes`` are kept as-is without a defensive copy. A ``bytearray``
     is snapshotted to ``bytes`` once, because the content key must not
@@ -467,30 +455,8 @@ def load_artifact_bytes(data: Union[bytes, bytearray, memoryview]) -> ServingArt
     )
 
 
-def map_artifact_file(path: PathLike) -> memoryview:
-    """Map an artifact file read-only; returns a view over the mapping.
-
-    The returned ``memoryview`` keeps the underlying ``mmap`` alive (it
-    is reachable as ``view.obj``), so the mapping lasts exactly as long
-    as something references the view — typically the
-    :attr:`ServingArtifact.data` of a zero-copy load.
-    """
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    return memoryview(mapped)
-
-
-def load_artifact(path: PathLike, mmap_mode: bool = False) -> ServingArtifact:
-    """Read and parse a serving artifact file (uncached; see ArtifactCache).
-
-    With ``mmap_mode=True`` the file is mapped read-only instead of
-    copied into process-private bytes: the parse reads straight out of
-    the page cache, N processes loading the same file share one
-    physical copy of the serialized form, and the artifact accounts its
-    bytes as shared (:attr:`ServingArtifact.shared_nbytes`).
-    """
-    if mmap_mode:
-        return load_artifact_bytes(map_artifact_file(path))
+def load_artifact(path: PathLike) -> ServingArtifact:
+    """Read and parse a serving artifact file (uncached; see ArtifactCache)."""
     return load_artifact_bytes(Path(path).read_bytes())
 
 
@@ -738,8 +704,8 @@ class ArtifactCacheStats:
     releases: int = 0
 
     shared_nbytes: int = 0
-    """Serialized bytes of resident entries backed by shared mappings
-    (mmap'd files / shm segments) — one physical copy system-wide."""
+    """Serialized bytes of resident entries backed by shared-memory
+    segments — one physical copy system-wide."""
 
     private_nbytes: int = 0
     """Serialized bytes of resident entries held as process-private
@@ -836,16 +802,8 @@ class ArtifactCache:
         with self._lock:
             return len(self._entries)
 
-    def load(self, path: PathLike, mmap_mode: bool = False) -> ServingArtifact:
-        """Load ``path`` through the cache.
-
-        ``mmap_mode=True`` maps the file instead of copying it: the hash
-        (and, on a miss, the parse) read straight out of the page cache,
-        and a hit drops the mapping without ever having made a private
-        copy of the file.
-        """
-        if mmap_mode:
-            return self.load_bytes(map_artifact_file(path))
+    def load(self, path: PathLike) -> ServingArtifact:
+        """Load ``path`` through the cache."""
         return self.load_bytes(Path(path).read_bytes())
 
     def load_bytes(self, data: Union[bytes, bytearray, memoryview]) -> ServingArtifact:

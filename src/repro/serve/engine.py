@@ -693,11 +693,6 @@ class InferenceEngine:
             self._stats.payload_nbytes = int(payload_nbytes)
             self._stats.sidecar_nbytes = int(sidecar_nbytes)
 
-    @property
-    def records_batches(self) -> bool:
-        """Whether :meth:`executed_batches` is available."""
-        return self._record
-
     def executed_batches(self) -> List[Tuple[int, ...]]:
         """Request-id composition of every executed batch
         (``record_batches=True`` only)."""

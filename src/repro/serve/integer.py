@@ -41,7 +41,7 @@ of ``verify_export(strict=True)``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -98,9 +98,9 @@ class IntegerServingModel:
     forwards are shadowed with :func:`integer_forward` closures over
     this instance's own :class:`IntegerLayerSpec` set. The facade
     implements the slice of the :class:`~repro.nn.module.Module`
-    protocol the serving stack touches (``__call__``, ``eval``/
-    ``train``, ``named_parameters``, ``state_dict``), so engines, pools
-    and the replay verifier treat both backends uniformly.
+    protocol the serving stack touches (``__call__``, ``eval``,
+    ``named_parameters``), so engines, pools and the replay verifier
+    treat both backends uniformly.
     """
 
     #: Engines read this to label :class:`ServeStats` (absent on plain
@@ -148,32 +148,12 @@ class IntegerServingModel:
     def __call__(self, x: Tensor) -> Tensor:
         return self._shell(x)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self._shell(x)
-
     def eval(self) -> "IntegerServingModel":
         self._shell.eval()
         return self
 
-    def train(self, mode: bool = True) -> "IntegerServingModel":
-        self._shell.train(mode)
-        return self
-
-    @property
-    def training(self) -> bool:
-        return self._shell.training
-
     def named_parameters(self, prefix: str = ""):
         return self._shell.named_parameters(prefix)
-
-    def parameters(self):
-        return self._shell.parameters()
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return self._shell.state_dict()
-
-    def zero_grad(self) -> None:
-        self._shell.zero_grad()
 
     # -- Integer-backend surface ----------------------------------------
     @property

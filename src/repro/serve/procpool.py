@@ -596,10 +596,6 @@ class ProcessWorkerHandle:
             self._stats.payload_nbytes = int(payload_nbytes)
             self._stats.sidecar_nbytes = int(sidecar_nbytes)
 
-    @property
-    def records_batches(self) -> bool:
-        return self._record
-
     def executed_batches(self) -> List[Tuple[int, ...]]:
         if not self._record:
             raise RuntimeError("worker was created with record_batches=False")

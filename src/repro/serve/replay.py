@@ -1,15 +1,13 @@
 """Request-replay load generation and the sweepable serving benchmark.
 
-:func:`replay_requests` drives a :class:`ServingSession` with
-``concurrency`` client threads replaying a fixed input sequence
-(closed-loop: one outstanding request per client) and returns a
-JSON-able throughput/latency payload plus the raw outputs.
-:func:`replay_trace` is the open-loop counterpart: it dispatches a
-seeded :class:`~repro.serve.trace.TrafficTrace` (uniform / Poisson /
-bursty / diurnal arrivals, mixed batch sizes) at its scheduled arrival
+:func:`replay_trace` is the one replay driver: it dispatches a seeded
+:class:`~repro.serve.trace.TrafficTrace` (uniform / Poisson / bursty /
+diurnal arrivals, mixed batch sizes) at its scheduled arrival
 timestamps whether or not earlier answers are back, and reports
 p50/p95/p99 latency, queue-wait vs service time, SLO attainment, and
-the pool's scale events and chaos recovery.
+the pool's scale events and chaos recovery. A closed-loop replay is
+the degenerate ``backlog`` trace (every arrival at t=0) under a
+``concurrency`` cap on outstanding rows.
 :func:`verify_replay` re-runs the engines' recorded batches through the
 models directly and checks the answers bitwise — the parity contract of
 :mod:`repro.serve.engine`, exercised from the CLI via ``repro serve``;
@@ -21,7 +19,7 @@ optionally autoscaled and chaos-killed) as a runner unit, registered
 as the ``serve-replay`` family in :mod:`repro.runner.registry`, so
 sweeps can include serving benchmarks alongside accuracy grids.
 
-Both replay drivers are duck-typed over the session: anything with
+The driver is duck-typed over the session: anything with
 ``input_dtype``/``submit``/``stats``/``engines``/``pool`` works, which
 is how :class:`repro.gateway.client.GatewayReplayClient` replays the
 same traces **over HTTP** against a live gateway and still verifies
@@ -34,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,103 +67,6 @@ def cycle_inputs(images: np.ndarray, count: int) -> np.ndarray:
         raise ValueError(f"replay needs at least one request, got {count}")
     indices = np.arange(count) % len(images)
     return np.asarray(images)[indices]
-
-
-def replay_requests(
-    session: ServingSession,
-    inputs: np.ndarray,
-    concurrency: int = 4,
-) -> ReplayRun:
-    """Replay ``inputs`` through ``session`` from ``concurrency`` threads.
-
-    Client ``c`` replays rows ``c, c + concurrency, ...`` sequentially
-    (one outstanding request per client, like a synchronous caller), so
-    micro-batches can only form across clients — the honest serving
-    scenario. Throughput and latency figures come from the engine's
-    :class:`~repro.serve.engine.ServeStats` delta over the replay.
-    """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    # Cast once, up front, to the served model's own dtype: the parity
-    # check must replay the same bytes the engines saw.
-    inputs = np.asarray(inputs, dtype=session.input_dtype)
-    count = len(inputs)
-    if count < 1:
-        raise ValueError("replay needs at least one request")
-    outputs: List[Optional[np.ndarray]] = [None] * count
-    request_ids: List[int] = [-1] * count
-    engine_indices: List[int] = [0] * count
-    latencies = np.zeros(count)
-    failures: List[BaseException] = []
-    engines = session.engines
-    records = all(engine.records_batches for engine in engines)
-    batches_before = (
-        [len(engine.executed_batches()) for engine in engines] if records else None
-    )
-    before = session.stats
-
-    def client(offset: int) -> None:
-        try:
-            for index in range(offset, count, concurrency):
-                pending = session.submit(inputs[index])
-                request_ids[index] = pending.request_id
-                engine_indices[index] = pending.engine_index
-                outputs[index] = pending.result()
-                latencies[index] = pending.latency_s
-        except BaseException as exc:  # surfaced to the caller below
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=client, args=(offset,), name=f"replay-client-{offset}")
-        for offset in range(min(concurrency, count))
-    ]
-    started = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall_s = time.monotonic() - started
-    if failures:
-        raise failures[0]
-    after = session.stats
-
-    forwards = after.forwards - before.forwards
-    served = after.served - before.served
-    if records:
-        max_batch = max(
-            (
-                len(batch)
-                for engine, skip in zip(engines, batches_before)
-                for batch in engine.executed_batches()[skip:]
-            ),
-            default=0,
-        )
-    else:
-        # Engine-lifetime high-water mark — exact when this replay is
-        # the session's only traffic (the CLI/run_point case).
-        max_batch = after.max_batch_seen
-    payload = {
-        "requests": count,
-        "concurrency": int(concurrency),
-        "engines": len(engines),
-        "wall_s": float(wall_s),
-        "throughput_rps": float(count / wall_s) if wall_s > 0 else 0.0,
-        "forwards": int(forwards),
-        "mean_batch_size": float(served / forwards) if forwards else 0.0,
-        "max_batch_seen": int(max_batch),
-        "latency_ms": {
-            "mean": float(latencies.mean() * 1e3),
-            "p50": float(np.percentile(latencies, 50) * 1e3),
-            "p95": float(np.percentile(latencies, 95) * 1e3),
-            "max": float(latencies.max() * 1e3),
-        },
-    }
-    return ReplayRun(
-        payload=payload,
-        outputs=np.stack(outputs),
-        request_ids=request_ids,
-        engine_indices=engine_indices,
-    )
 
 
 def verify_replay(
@@ -259,24 +160,8 @@ def verify_replay(
     return verified
 
 
-def render_replay(payload: Dict[str, object], title: str = "replay") -> str:
-    """One-paragraph human rendering of a replay payload."""
-    latency = payload["latency_ms"]
-    engines = int(payload.get("engines", 1))
-    engines_note = f" over {engines} engines" if engines > 1 else ""
-    return (
-        f"{title}: {payload['requests']} requests x{payload['concurrency']} clients"
-        f"{engines_note} "
-        f"in {payload['wall_s']:.3f} s -> {payload['throughput_rps']:.1f} req/s | "
-        f"{payload['forwards']} forwards (mean batch {payload['mean_batch_size']:.2f}, "
-        f"max {payload['max_batch_seen']}) | latency ms: "
-        f"mean {latency['mean']:.2f}, p50 {latency['p50']:.2f}, "
-        f"p95 {latency['p95']:.2f}, max {latency['max']:.2f}"
-    )
-
-
 # ----------------------------------------------------------------------
-# Open-loop trace replay
+# Trace replay
 # ----------------------------------------------------------------------
 def replay_trace(
     session: ServingSession,
@@ -285,21 +170,29 @@ def replay_trace(
     slo_ms: Optional[float] = None,
     chaos_kill_at_s: Optional[float] = None,
     result_timeout_s: float = 120.0,
+    concurrency: Optional[int] = None,
 ) -> ReplayRun:
     """Drive ``session`` with a :class:`~repro.serve.trace.TrafficTrace`.
 
-    Unlike :func:`replay_requests` (closed-loop: each client waits for
-    its answer before sending the next), this dispatcher is
-    **open-loop**: request ``i`` is submitted at its scheduled arrival
-    offset ``trace.arrivals_s[i]`` whether or not earlier requests have
-    been answered — the queue is allowed to build, which is the whole
-    point of a bursty trace. A request's ``batch_sizes[i]`` input rows
-    are submitted back to back at its arrival.
+    The dispatcher is **open-loop**: request ``i`` is submitted at its
+    scheduled arrival offset ``trace.arrivals_s[i]`` whether or not
+    earlier requests have been answered — the queue is allowed to
+    build, which is the whole point of a bursty trace. A request's
+    ``batch_sizes[i]`` input rows are submitted back to back at its
+    arrival; row ``r`` replays ``images[r % len(images)]``.
 
-    Latency accounting is per *request*, measured from the scheduled
-    arrival to the completion of the request's last row — dispatcher
-    lateness under overload counts against the server, as it would for
-    a real client. Per-row queue-wait (``latency - service``) and
+    ``concurrency`` caps the rows outstanding at once: before row ``r``
+    is submitted the dispatcher waits for row ``r - concurrency`` to be
+    answered. Over a ``backlog`` trace (every arrival at t=0) that is a
+    closed-loop replay by ``concurrency`` synchronous clients, whose
+    micro-batches can only form across clients.
+
+    Latency accounting is per *request*, up to the completion of the
+    request's last row. Uncapped, it is measured from the scheduled
+    arrival — dispatcher lateness under overload counts against the
+    server, as it would for a real client. Capped, it is measured from
+    the request's dispatch, since a closed-loop client only sends once
+    it has a free slot. Per-row queue-wait (``latency - service``) and
     service time come from the engines' own timestamps.
 
     ``chaos_kill_at_s`` arms a timer that kills one live engine's
@@ -313,13 +206,14 @@ def replay_trace(
     policy, scale and death events, engine lifetimes — in one shape
     for every pool.
     """
-    inputs = np.asarray(images, dtype=session.input_dtype)
-    if len(inputs) == 0:
-        raise ValueError("no images to replay")
+    if concurrency is not None and concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     n = trace.requests
     sizes = trace.batch_sizes.astype(int)
     rows = int(sizes.sum())
-    row_inputs = inputs[np.arange(rows) % len(inputs)]
+    # Cast once, up front, to the served model's own dtype: the parity
+    # check must replay the same bytes the engines saw.
+    row_inputs = cycle_inputs(np.asarray(images, dtype=session.input_dtype), rows)
     row_request = np.repeat(np.arange(n), sizes)
 
     pool = session.pool
@@ -354,10 +248,12 @@ def replay_trace(
                     break
                 time.sleep(min(delay, 0.05))
             for _ in range(int(sizes[i])):
+                if concurrency is not None and row >= concurrency:
+                    pendings[row - concurrency].result(timeout=result_timeout_s)
                 dispatched_s[row] = time.monotonic() - started
                 pendings.append(session.submit(row_inputs[row]))
                 row += 1
-        # Failures raise here — an open-loop replay never swallows one.
+        # Failures raise here — a replay never swallows one.
         outputs = [p.result(timeout=result_timeout_s) for p in pendings]
     finally:
         if kill_timer is not None:
@@ -377,10 +273,15 @@ def replay_trace(
     row_queue_wait = np.maximum(row_latency - row_service, 0.0)
     row_complete = dispatched_s + row_latency
     # Request completion = its last row's completion, measured against
-    # the scheduled (not actual) arrival.
+    # the scheduled arrival, or against the first row's dispatch when
+    # capped (a closed-loop client's clock starts when it sends).
     request_complete = np.zeros(n)
     np.maximum.at(request_complete, row_request, row_complete)
-    request_latency = request_complete - np.asarray(trace.arrivals_s)
+    if concurrency is None:
+        request_start = np.asarray(trace.arrivals_s)
+    else:
+        request_start = dispatched_s[np.cumsum(sizes) - sizes]
+    request_latency = request_complete - request_start
 
     latency_ms = request_latency * 1e3
     forwards = after.forwards - before.forwards
@@ -420,6 +321,8 @@ def replay_trace(
         },
     }
     payload["autoscale"] = pool.describe_scaling()
+    if concurrency is not None:
+        payload["concurrency"] = int(concurrency)
     if chaos_kill_at_s is not None:
         payload["chaos"] = {
             "kill_at_s": float(chaos_kill_at_s),
@@ -440,9 +343,13 @@ def render_trace_replay(payload: Dict[str, object], title: str = "trace replay")
     queue_wait = payload["queue_wait_ms"]
     service = payload["service_ms"]
     engines = payload["engines"]
+    load = trace["kind"]
+    if load != "backlog":
+        load += f" @ {trace['rate_rps']:g} rps"
+    if payload.get("concurrency") is not None:
+        load += f" x{payload['concurrency']} clients"
     lines = [
-        f"{title} [{trace['kind']} @ {trace['rate_rps']:g} rps, "
-        f"seed {trace['seed']}]: {payload['requests']} requests "
+        f"{title} [{load}, seed {trace['seed']}]: {payload['requests']} requests "
         f"({payload['rows']} rows) in {payload['wall_s']:.3f} s -> "
         f"{payload['throughput_rps']:.1f} req/s | {payload['forwards']} forwards "
         f"(mean batch {payload['mean_batch_size']:.2f})",
@@ -524,6 +431,69 @@ def build_uniform_artifact(
     return compile_artifact(student, manifest)
 
 
+def build_replay_point(
+    model: str,
+    dataset: str,
+    scale: str,
+    seed: int,
+    bits: int,
+    trace: str,
+    requests: int,
+    rate_rps: float,
+    batch_mix: tuple,
+) -> Tuple[ServingArtifact, TrafficTrace, np.ndarray]:
+    """The setup every replay grid point shares: the preset's
+    uniform-``bits`` artifact, the seeded traffic trace, and the
+    trace's input rows (test images, cycled)."""
+    from repro.experiments.presets import get_dataset
+
+    artifact = build_uniform_artifact(
+        model=model, dataset=dataset, scale=scale, seed=seed, bits=bits
+    )
+    data = get_dataset(dataset, scale=scale, seed=seed)
+    traffic = generate_trace(
+        TraceConfig(
+            kind=trace,
+            requests=int(requests),
+            rate_rps=float(rate_rps),
+            seed=int(seed),
+            batch_sizes=tuple(int(b) for b in batch_mix),
+        )
+    )
+    return artifact, traffic, cycle_inputs(data.test_images, traffic.rows)
+
+
+def replay_and_verify(
+    artifact: ServingArtifact,
+    config: ServeConfig,
+    row_inputs: np.ndarray,
+    traffic: TrafficTrace,
+    slo_ms: float,
+    chaos_kill_at_s: Optional[float] = None,
+) -> Dict[str, object]:
+    """Replay ``traffic`` on a fresh session over ``artifact`` and
+    verify every row; returns the payload with ``verified_requests``.
+
+    Parity is strict: a verified-request shortfall raises rather than
+    shrinking a number nobody reads.
+    """
+    session = ServingSession(artifact, config=config)
+    try:
+        run = replay_trace(
+            session,
+            row_inputs,
+            traffic,
+            slo_ms=float(slo_ms),
+            chaos_kill_at_s=chaos_kill_at_s,
+        )
+        run.payload["verified_requests"] = int(
+            verify_replay(session, row_inputs, run, expected=traffic.rows)
+        )
+        return run.payload
+    finally:
+        session.close()
+
+
 def run_point(
     model: str = "vgg-small",
     dataset: str = "synth10",
@@ -577,8 +547,6 @@ def run_point(
     :func:`~repro.serve.session.resolve_policy` rejects raises before
     the artifact is built.
     """
-    from repro.experiments.presets import get_dataset
-
     policy = None
     if autoscale:
         policy = AutoscalePolicy(
@@ -595,42 +563,13 @@ def run_point(
         workers=int(workers),
     )
     resolve_policy(batched_config)
-    artifact = build_uniform_artifact(
-        model=model, dataset=dataset, scale=scale, seed=seed, bits=bits
+    artifact, traffic, row_inputs = build_replay_point(
+        model, dataset, scale, seed, bits, trace, requests, rate_rps, batch_mix
     )
-    data = get_dataset(dataset, scale=scale, seed=seed)
-    traffic = generate_trace(
-        TraceConfig(
-            kind=trace,
-            requests=int(requests),
-            rate_rps=float(rate_rps),
-            seed=int(seed),
-            batch_sizes=tuple(int(b) for b in batch_mix),
-        )
-    )
-    row_inputs = cycle_inputs(data.test_images, traffic.rows)
     kill_at_s = 0.35 * max(traffic.duration_s, 1e-3) if chaos else None
-
-    def one_replay(
-        config: ServeConfig, kill_at: Optional[float] = None
-    ) -> Dict[str, object]:
-        session = ServingSession(artifact, config=config)
-        try:
-            run = replay_trace(
-                session,
-                row_inputs,
-                traffic,
-                slo_ms=float(slo_ms),
-                chaos_kill_at_s=kill_at,
-            )
-            run.payload["verified_requests"] = int(
-                verify_replay(session, row_inputs, run, expected=traffic.rows)
-            )
-            return run.payload
-        finally:
-            session.close()
-
-    batched = one_replay(batched_config, kill_at=kill_at_s)
+    batched = replay_and_verify(
+        artifact, batched_config, row_inputs, traffic, slo_ms, kill_at_s
+    )
     payload: Dict[str, object] = {
         "model": model,
         "dataset": dataset,
@@ -652,13 +591,14 @@ def run_point(
         "batched": batched,
     }
     if compare_sequential:
-        sequential = one_replay(
-            ServeConfig(
-                batch_window_s=0.0,
-                max_batch_size=1,
-                record_batches=True,
-                backend=backend,
-            )
+        sequential_config = ServeConfig(
+            batch_window_s=0.0,
+            max_batch_size=1,
+            record_batches=True,
+            backend=backend,
+        )
+        sequential = replay_and_verify(
+            artifact, sequential_config, row_inputs, traffic, slo_ms
         )
         payload["sequential"] = sequential
         if batched["wall_s"] > 0:

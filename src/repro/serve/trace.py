@@ -1,18 +1,17 @@
 """Seeded traffic traces: the arrival processes behind replay realism.
 
-The PR-4/PR-5 replay harness drove the serving stack with an implicit
-uniform trace (``concurrency`` closed-loop clients, one outstanding
-request each). Real traffic is nothing like that — arrivals burst,
-follow daily cycles, and carry mixed batch sizes — and a serving claim
-that survives only uniform load is not a deployment claim. This module
-models the load itself:
+Real traffic bursts, follows daily cycles, and carries mixed batch
+sizes — a serving claim that survives only uniform load is not a
+deployment claim. This module models the load itself:
 
 * :class:`TraceConfig` describes an arrival process — ``uniform``
   (evenly spaced), ``poisson`` (memoryless), ``bursty`` (on-off
   modulated Poisson: short windows at ``burst_factor`` times the mean
-  rate separated by quiet troughs) or ``diurnal`` (sinusoidally
-  modulated Poisson — the day/night cycle compressed into the trace) —
-  plus a mixed per-request batch-size distribution.
+  rate separated by quiet troughs), ``diurnal`` (sinusoidally
+  modulated Poisson — the day/night cycle compressed into the trace)
+  or ``backlog`` (every request queued at t=0, the degenerate trace a
+  closed-loop replay drives under a concurrency cap) — plus a mixed
+  per-request batch-size distribution.
 * :func:`generate_trace` expands it into a concrete
   :class:`TrafficTrace`: per-request arrival timestamps and batch
   sizes. Non-homogeneous processes are sampled by Lewis–Shedler
@@ -35,14 +34,15 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 #: Arrival-process kinds accepted by :class:`TraceConfig`.
-TRACE_KINDS = ("uniform", "poisson", "bursty", "diurnal")
+TRACE_KINDS = ("uniform", "poisson", "bursty", "diurnal", "backlog")
 
 
 @dataclass(frozen=True)
 class TraceConfig:
     """One traffic trace, fully described by JSON-able data.
 
-    ``rate_rps`` is the *mean* arrival rate; bursty/diurnal traces
+    ``rate_rps`` is the *mean* arrival rate (unused by ``backlog``,
+    whose arrivals are all at t=0); bursty/diurnal traces
     modulate around it (bursts run at ``burst_factor * rate_rps`` for
     ``duty`` of each period; the diurnal sinusoid swings by
     ``amplitude``). ``periods`` cycles are fit across the expected
@@ -142,11 +142,12 @@ class TrafficTrace:
         return float(self.arrivals_s[-1])
 
     @property
-    def offered_rps(self) -> float:
-        """Realised mean request rate of this expansion."""
+    def offered_rps(self) -> Optional[float]:
+        """Realised mean request rate of this expansion; ``None`` when
+        every arrival shares one instant (no finite rate exists)."""
         if self.duration_s <= 0:
-            return float("inf")
-        return float((self.requests - 1) / self.duration_s) if self.requests > 1 else 0.0
+            return None
+        return float((self.requests - 1) / self.duration_s)
 
     def to_payload(self) -> Dict[str, object]:
         """Deterministic JSON-able summary for replay payloads."""
@@ -155,13 +156,18 @@ class TrafficTrace:
             {
                 "rows": self.rows,
                 "duration_s": float(self.duration_s),
-                "offered_rps": float(self.offered_rps),
+                "offered_rps": self.offered_rps,
                 "mean_batch_rows": float(self.batch_sizes.mean()),
             }
         )
         return document
 
     def describe(self) -> str:
+        if self.config.kind == "backlog":
+            return (
+                f"backlog trace: {self.requests} requests ({self.rows} rows) "
+                f"queued at t=0, seed {self.config.seed}"
+            )
         return (
             f"{self.config.kind} trace: {self.requests} requests "
             f"({self.rows} rows) over {self.duration_s:.3f} s "
@@ -206,7 +212,9 @@ def generate_trace(config: TraceConfig) -> TrafficTrace:
     """
     rng = np.random.default_rng(config.seed)
     n = config.requests
-    if config.kind == "uniform":
+    if config.kind == "backlog":
+        arrivals = np.zeros(n, dtype=np.float64)
+    elif config.kind == "uniform":
         arrivals = np.arange(n, dtype=np.float64) / config.rate_rps
     elif config.kind == "poisson":
         arrivals = np.cumsum(rng.exponential(1.0 / config.rate_rps, size=n))

@@ -135,8 +135,8 @@ class TestServeCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "round 1: 8 requests" in out
-        assert "round 2: 8 requests" in out
+        assert "round 1 [backlog x2 clients, seed 0]: 8 requests" in out
+        assert "round 2 [backlog x2 clients, seed 0]: 8 requests" in out
         assert out.count("parity: OK (8 requests bit-exact)") == 2
         # Second engine start hits the content-hash artifact cache.
         assert "artifact cache: 1 hits, 1 misses" in out
@@ -195,6 +195,18 @@ class TestServeCommand:
         code = main(["serve", "--artifact", str(preset_artifact), "--engines", "0"])
         assert code == 2
         assert "--engines" in capsys.readouterr().err
+
+    def test_serve_rejects_bad_concurrency(self, capsys, preset_artifact):
+        code = main(
+            ["serve", "--artifact", str(preset_artifact), "--concurrency", "0"]
+        )
+        assert code == 2
+        assert "serve: --concurrency must be >= 1" in capsys.readouterr().err
+
+    def test_serve_autoscale_needs_an_open_loop_trace(self, capsys, preset_artifact):
+        code = main(["serve", "--artifact", str(preset_artifact), "--chaos"])
+        assert code == 2
+        assert "need an open-loop --trace" in capsys.readouterr().err
 
     def test_serve_reports_artifact_byte_breakdown(self, capsys, preset_artifact):
         code = main(

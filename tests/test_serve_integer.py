@@ -33,11 +33,13 @@ from repro.serve import (
     ReplayRun,
     ServeConfig,
     ServingSession,
+    TraceConfig,
     compile_artifact,
     compile_integer_serving,
+    generate_trace,
     integer_parity_rtol,
     load_artifact,
-    replay_requests,
+    replay_trace,
     save_artifact,
     verify_integer_parity,
     verify_replay,
@@ -143,7 +145,10 @@ class TestIntegerSessions:
         )
         with ServingSession(path, cache=ArtifactCache(), config=config) as session:
             assert isinstance(session.model, IntegerServingModel)
-            run = replay_requests(session, inputs, concurrency=3)
+            trace = generate_trace(
+                TraceConfig(kind="backlog", requests=len(inputs))
+            )
+            run = replay_trace(session, inputs, trace, concurrency=3)
             # Bit-exact self-parity AND the rescale bound vs the float
             # prototype, per executed batch.
             assert verify_replay(
@@ -357,7 +362,7 @@ class TestParityVerifier:
     def test_corrupted_codes_name_the_offending_layer(self, tmp_path):
         model, manifest = build_random_bits_model(max_bits=4)
         _path, artifact = saved_and_reloaded(model, manifest, tmp_path)
-        integer_model = artifact.clone_integer_model()
+        integer_model = artifact.clone_model_for("integer")
         # Sabotage one layer's codes: a huge code on an unpruned filter.
         victim = None
         for name, spec in integer_model.specs.items():
@@ -385,7 +390,7 @@ class TestParityVerifier:
         model, manifest = build_random_bits_model(max_bits=4, act_bits=2)
         _path, artifact = saved_and_reloaded(model, manifest, tmp_path)
         difference = verify_integer_parity(
-            artifact.clone_integer_model(),
+            artifact.clone_model_for("integer"),
             artifact.model(),
             np.random.default_rng(1).standard_normal((6, 3, 8, 8)),
         )

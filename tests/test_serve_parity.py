@@ -30,12 +30,21 @@ from repro.serve import (
     ArtifactCache,
     ServeConfig,
     ServingSession,
+    TraceConfig,
     cycle_inputs,
-    replay_requests,
+    generate_trace,
+    replay_trace,
     save_artifact,
     verify_replay,
 )
 from repro.tensor.tensor import Tensor, no_grad
+
+
+def backlog_replay(session, inputs, concurrency):
+    """Closed-loop replay: every row queued at t=0, at most
+    ``concurrency`` outstanding, row ``i`` answering ``inputs[i]``."""
+    trace = generate_trace(TraceConfig(kind="backlog", requests=len(inputs)))
+    return replay_trace(session, inputs, trace, concurrency=concurrency)
 
 
 @pytest.fixture(
@@ -81,7 +90,7 @@ def assert_source_parity(got, expected, sidecar_dtype):
 class TestServingParity:
     def test_concurrent_replay_is_bit_exact_with_fake_quant_model(self, served_setup):
         fake_quant, session, inputs, sidecar_dtype = served_setup
-        run = replay_requests(session, inputs, concurrency=3)
+        run = backlog_replay(session, inputs, concurrency=3)
         session.drain()
 
         # 1) Engine answers == serving model run directly on the same
@@ -151,7 +160,7 @@ class TestMultiEngineParity:
         )
 
         with ServingSession(artifact_path, config=config, cache=cache) as single:
-            single_run = replay_requests(single, inputs, concurrency=3)
+            single_run = backlog_replay(single, inputs, concurrency=3)
             assert verify_replay(single, inputs, single_run) == len(inputs)
             single_model = single.model  # the single-engine path's clone
 
@@ -163,7 +172,7 @@ class TestMultiEngineParity:
         ) as pooled:
             assert len(pooled.engines) == 2
             assert pooled.models[0] is not pooled.models[1]
-            run = replay_requests(pooled, inputs, concurrency=4)
+            run = backlog_replay(pooled, inputs, concurrency=4)
             # Both engines saw traffic (round-robin fan-out).
             assert sorted(set(run.engine_indices)) == [0, 1]
             # Every request is bit-exact with its own engine's model...
@@ -207,7 +216,7 @@ class TestMultiEngineParity:
         inputs = np.random.default_rng(1).standard_normal((6, 3, 8, 8))
         config = ServeConfig(record_batches=True, engines=2)
         with ServingSession(artifact_path, config=config, cache=cache) as session:
-            run = replay_requests(session, inputs, concurrency=2)
+            run = backlog_replay(session, inputs, concurrency=2)
             stripped = ReplayRun(
                 payload=run.payload,
                 outputs=run.outputs,
@@ -262,11 +271,11 @@ class TestReplayHarness:
 
     def test_replay_payload_figures(self, served_setup):
         _model, session, inputs, _dtype = served_setup
-        run = replay_requests(session, inputs, concurrency=2)
+        run = backlog_replay(session, inputs, concurrency=2)
         payload = run.payload
         assert payload["requests"] == len(inputs)
         assert payload["concurrency"] == 2
-        assert payload["engines"] == 1
+        assert payload["engines"]["final"] == 1
         assert payload["throughput_rps"] > 0
         assert payload["forwards"] >= 1
         assert payload["mean_batch_size"] >= 1.0
@@ -275,15 +284,35 @@ class TestReplayHarness:
         assert sorted(run.request_ids) == list(range(min(run.request_ids), min(run.request_ids) + len(inputs)))
         assert run.engine_indices == [0] * len(inputs)
 
+    def test_concurrency_cap_bounds_batches_and_times_from_dispatch(
+        self, served_setup
+    ):
+        from repro.serve import render_trace_replay
+
+        _model, session, inputs, _dtype = served_setup
+        rows = cycle_inputs(inputs, 32)
+        run = backlog_replay(session, rows, concurrency=2)
+        batches = session.engine.executed_batches()
+        assert batches and all(len(batch) <= 2 for batch in batches)
+        assert verify_replay(session, rows, run, expected=32) == 32
+        # Latency runs from dispatch, not from the shared t=0 arrival,
+        # so no request waited out half the replay.
+        payload = run.payload
+        assert payload["latency_ms"]["max"] < 0.5 * payload["wall_s"] * 1e3
+        assert "[backlog x2 clients, seed 0]" in render_trace_replay(payload)
+
     def test_replay_rejects_bad_concurrency(self, served_setup):
         _model, session, inputs, _dtype = served_setup
-        with pytest.raises(ValueError):
-            replay_requests(session, inputs, concurrency=0)
+        with pytest.raises(ValueError, match="concurrency"):
+            backlog_replay(session, inputs, concurrency=0)
 
     def test_replay_rejects_empty_trace(self, served_setup):
         _model, session, inputs, _dtype = served_setup
         with pytest.raises(ValueError, match="at least one request"):
-            replay_requests(session, inputs[:0], concurrency=2)
+            backlog_replay(session, inputs[:0], concurrency=2)
+        trace = generate_trace(TraceConfig(kind="backlog", requests=3))
+        with pytest.raises(ValueError, match="no images"):
+            replay_trace(session, inputs[:0], trace, concurrency=2)
         with pytest.raises(ValueError, match="at least one request"):
             cycle_inputs(inputs, 0)
 
@@ -293,12 +322,12 @@ class TestReplayHarness:
         # input dtype.
         _model, session, inputs, _dtype = served_setup
         low_precision = inputs.astype(np.float32)
-        run = replay_requests(session, low_precision, concurrency=2)
+        run = backlog_replay(session, low_precision, concurrency=2)
         assert verify_replay(session, low_precision, run) == len(inputs)
 
     def test_verify_replay_detects_corruption(self, served_setup):
         _model, session, inputs, _dtype = served_setup
-        run = replay_requests(session, inputs, concurrency=2)
+        run = backlog_replay(session, inputs, concurrency=2)
         run.outputs[0, 0] += 1.0
         with pytest.raises(AssertionError, match="bit-exact"):
             verify_replay(session, inputs, run)
@@ -393,7 +422,7 @@ class TestIntegerBackendParity:
                 for model in pooled.models
             )
             assert pooled.models[0] is not pooled.models[1]
-            run = replay_requests(pooled, inputs, concurrency=4)
+            run = backlog_replay(pooled, inputs, concurrency=4)
             assert sorted(set(run.engine_indices)) == [0, 1]
             # Bitwise self-parity per engine + the rescale bound vs the
             # float prototype, both inside verify_replay.

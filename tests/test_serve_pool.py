@@ -571,7 +571,7 @@ class TestIntegerBackendPool:
         assert verify_replay(_PoolSession(), inputs, run, expected=6) == 6
         # Bit-identical to an undisturbed single integer engine serving
         # the same batches.
-        reference = act_artifact.clone_integer_model()
+        reference = act_artifact.clone_model_for("integer")
         from repro.tensor.tensor import Tensor, no_grad
 
         with no_grad():

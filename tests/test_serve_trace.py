@@ -124,6 +124,28 @@ class TestArrivalShapes:
         assert peak_half > 0.6 * trace.requests
 
 
+class TestBacklog:
+    def test_every_arrival_is_at_zero(self):
+        trace = generate_trace(
+            TraceConfig(kind="backlog", requests=5, batch_sizes=(1, 3), seed=4)
+        )
+        np.testing.assert_array_equal(trace.arrivals_s, np.zeros(5))
+        assert trace.duration_s == 0.0
+        assert "queued at t=0" in trace.describe()
+
+    @pytest.mark.parametrize(
+        "config",
+        [TraceConfig(requests=1), TraceConfig(kind="backlog", requests=8)],
+        ids=["single-request", "backlog"],
+    )
+    def test_zero_duration_payload_is_strict_json(self, config):
+        """A trace whose arrivals share one instant has no finite rate:
+        ``offered_rps`` is ``None`` (JSON null), never ``inf``."""
+        payload = generate_trace(config).to_payload()
+        assert payload["offered_rps"] is None
+        json.dumps(payload, allow_nan=False)
+
+
 class TestBatchMix:
     def test_single_size_is_constant(self):
         trace = generate_trace(TraceConfig(requests=20, batch_sizes=(3,)))
