@@ -9,12 +9,14 @@ backend executing the packed codes directly — and asserts:
   guarded floor of the float engine's (**>= 0.5x**). The weight-only
   integer path lowers to the same im2col + GEMM shape as the float
   path (the codes are cast to float64 once at compile time, exactly),
-  so the two engines do the same BLAS work per batch and the ratio is
-  ~1x; the floor only needs to catch a path that falls off the GEMM
-  lowering into something per-element,
+  but the float engine serves this float32-sidecar artifact in float32
+  while the integer backend stays float64, so the float engine's GEMMs
+  move half the bytes and the ratio sits below 1x; the floor only needs
+  to catch a path that falls off the GEMM lowering into something
+  per-element,
 * every integer answer is bit-exact with its engine's own forward AND
-  within the derived rescale bound of the float prototype
-  (``verify_replay``'s two legs for integer engines).
+  within the derived rescale bound of a float64 build of the float
+  model (``verify_replay``'s two legs for integer engines).
 """
 
 import time

@@ -138,7 +138,7 @@ class _BatchNormBase(Module):
         full-size ops in the same order, in place on one fresh buffer.
         ``x`` is never written (the search evaluator caches activations).
         """
-        inv_std = np.power(self.running_var.reshape(shape) + np.asarray(self.eps), -0.5)
+        inv_std = np.power(self.running_var.reshape(shape) + self.eps, -0.5)
         out = np.subtract(x, self.running_mean.reshape(shape))
         out = F.apply_inplace(np.multiply, out, inv_std)
         out = F.apply_inplace(np.multiply, out, self.weight.data.reshape(shape))

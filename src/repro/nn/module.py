@@ -18,6 +18,12 @@ import numpy as np
 from repro.tensor.tensor import Tensor
 
 
+def _floating(value) -> np.ndarray:
+    """``value`` as an array that keeps a floating dtype, else float64."""
+    array = np.asarray(value)
+    return array if array.dtype.kind == "f" else array.astype(np.float64)
+
+
 class HookHandle:
     """Removable reference to a registered forward hook."""
 
@@ -30,10 +36,13 @@ class HookHandle:
 
 
 class Parameter(Tensor):
-    """A trainable tensor; registered automatically when set on a Module."""
+    """A trainable tensor; registered automatically when set on a Module.
+
+    Floating data keeps its dtype; anything else becomes float64.
+    """
 
     def __init__(self, data, requires_grad: bool = True):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+        super().__init__(_floating(data), requires_grad=requires_grad)
 
     def __repr__(self) -> str:
         return f"Parameter(shape={self.shape})"
@@ -65,15 +74,22 @@ class Module:
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
-        """Register non-trainable state (e.g. batch-norm running stats)."""
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
+        """Register non-trainable state (e.g. batch-norm running stats).
+
+        Floating data keeps its dtype; anything else becomes float64.
+        """
+        self._buffers[name] = _floating(value)
         object.__setattr__(self, name, self._buffers[name])
 
     def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        """Update a registered buffer in place of the registry entry."""
+        """Update a registered buffer in place of the registry entry.
+
+        The buffer keeps its dtype, as a parameter does when loaded;
+        :meth:`astype` is what changes it.
+        """
         if name not in self._buffers:
             raise KeyError(f"buffer {name!r} was never registered")
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
+        self._buffers[name] = np.asarray(value, dtype=self._buffers[name].dtype)
         object.__setattr__(self, name, self._buffers[name])
 
     # ------------------------------------------------------------------
@@ -128,6 +144,25 @@ class Module:
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
+
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter and buffer to ``dtype``, in place.
+
+        Forwards then compute in ``dtype`` for inputs of that dtype. A
+        parameter that changes dtype loses its gradient; one that
+        already has ``dtype`` is left as it is. Returns the module.
+        """
+        dtype = np.dtype(dtype)
+        for module in self.modules():
+            for param in module._parameters.values():
+                if param.data.dtype != dtype:
+                    param.data = param.data.astype(dtype)
+                    param.grad = None
+            for name, buffer in module._buffers.items():
+                if buffer.dtype != dtype:
+                    module._buffers[name] = buffer.astype(dtype)
+                    object.__setattr__(module, name, module._buffers[name])
+        return self
 
     def num_parameters(self) -> int:
         """Total number of trainable scalar weights."""

@@ -97,6 +97,12 @@ SIDECAR_DTYPES = {
 
 DEFAULT_SIDECAR_DTYPE = "float32"
 
+#: The dtype a served float model computes in, by sidecar storage dtype:
+#: float32 storage runs float32 and float16 storage widens to float32.
+#: Every other sidecar (``float64``, legacy ``CQS1``, ``"mixed"``) runs
+#: float64, so a lossless sidecar serves bitwise like the source model.
+COMPUTE_DTYPES = {"float16": np.dtype(np.float32), "float32": np.dtype(np.float32)}
+
 PathLike = Union[str, Path]
 
 
@@ -211,9 +217,10 @@ def _pack_sidecar(
 def _unpack_sidecar(reader: ByteReader):
     """Parse a CQS1/CQS2 sidecar; returns (manifest, state, dtype name).
 
-    State arrays come back float64 (the model's compute dtype) whatever
-    they were stored in; the returned dtype name records the storage
-    form (``"mixed"`` if a CQS2 sidecar carries more than one tag).
+    State arrays keep their stored float32 or float64; float16 widens to
+    float32, the narrowest dtype a model computes in. The returned dtype
+    name records the storage form (``"mixed"`` if a CQS2 sidecar carries
+    more than one tag).
     """
     if reader.remaining() == 0:
         raise ValueError(
@@ -246,7 +253,9 @@ def _unpack_sidecar(reader: ByteReader):
         count = int(np.prod(shape)) if shape else 1
         payload = reader.take_bytes(count * dtype.itemsize)
         state[name] = (
-            np.frombuffer(payload, dtype=dtype).reshape(shape).astype(np.float64)
+            np.frombuffer(payload, dtype=dtype)
+            .reshape(shape)
+            .astype(np.promote_types(dtype, np.float32))
         )
         seen_dtypes.add(dtype)
     if not tagged or not seen_dtypes:
@@ -303,6 +312,12 @@ class ServingArtifact:
     _model_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    @property
+    def compute_dtype(self) -> np.dtype:
+        """The dtype the float serving model computes in (see
+        :data:`COMPUTE_DTYPES`); the integer backend always runs float64."""
+        return COMPUTE_DTYPES.get(self.sidecar_dtype, np.dtype(np.float64))
 
     def model(self) -> Module:
         """The reconstructed serving model (built once, then reused).
@@ -560,11 +575,14 @@ class SharedArtifactSegment:
 
 
 def build_serving_model(
-    artifact: ServingArtifact, reconstruct_weights: bool = True
+    artifact: ServingArtifact, reconstruct_weights: bool = True, dtype=None
 ) -> Module:
     """Reconstruct the mixed-precision model behind an artifact.
 
-    The returned model is in ``eval()`` mode with weight
+    The model computes in ``dtype``, by default the artifact's
+    :attr:`~ServingArtifact.compute_dtype`. Weights are reconstructed in
+    float64 and rounded once to ``dtype``. The returned model is in
+    ``eval()`` mode with weight
     fake-quantization **disabled**: each quantized layer's weight holds
     the dequantized codes directly, which is bit-exact with the
     fake-quantized forward (see the module docstring's parity contract).
@@ -611,6 +629,7 @@ def build_serving_model(
     model.load_state_dict(state, strict=True)
     for layer in layers.values():
         layer.weight_quant_enabled = False  # weights already hold the codes' values
+    model.astype(artifact.compute_dtype if dtype is None else dtype)
     model.eval()
     return model
 

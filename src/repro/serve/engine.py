@@ -93,10 +93,19 @@ def _model_input_dtype(model: Module) -> np.dtype:
     silently upcasts (or downcasts) relative to a direct forward — the
     parity contract's replay must see the same bytes the worker saw.
     Parameter-free models default to float64, the stack's native dtype.
+    Raises ``ValueError`` naming the first parameter whose dtype differs
+    from the others': such a model has no one dtype to feed.
     """
-    for _name, param in model.named_parameters():
-        return np.dtype(param.data.dtype)
-    return np.dtype(np.float64)
+    first = None
+    for name, param in model.named_parameters():
+        if first is None:
+            first = (name, param.data.dtype)
+        elif param.data.dtype != first[1]:
+            raise ValueError(
+                f"parameter {name!r} is {param.data.dtype} but {first[0]!r} "
+                f"is {first[1]}; cast the model to one dtype to serve it"
+            )
+    return np.dtype(np.float64 if first is None else first[1])
 
 
 @dataclass

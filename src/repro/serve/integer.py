@@ -54,6 +54,7 @@ from repro.quant.integer import (
     integer_forward,
 )
 from repro.quant.qmodules import quantized_layers
+from repro.serve.engine import _model_input_dtype
 from repro.tensor.tensor import Tensor, no_grad
 from repro.utils.misc import clone_module
 
@@ -192,14 +193,16 @@ def compile_integer_serving(artifact) -> IntegerServingModel:
     The shell comes from :func:`~repro.serve.artifact.build_serving_model`
     with ``reconstruct_weights=False`` (sidecar state only — biases, BN,
     calibrated activation ranges; quantized weights are zero
-    placeholders); every spec comes from
+    placeholders), built in float64 whatever the sidecar stores: the
+    rescale bound of :func:`integer_parity_rtol` is derived at float64
+    eps. Every spec comes from
     :func:`~repro.quant.integer.compile_integer_layer_from_export` on
     the parsed CQW1 payload. No float weight is ever materialized from
     the codes.
     """
     from repro.serve.artifact import build_serving_model
 
-    shell = build_serving_model(artifact, reconstruct_weights=False)
+    shell = build_serving_model(artifact, reconstruct_weights=False, dtype=np.float64)
     layers = quantized_layers(shell)
     specs: "OrderedDict[str, IntegerLayerSpec]" = OrderedDict()
     for name, layer_export in artifact.export.layers.items():
@@ -227,8 +230,18 @@ def verify_integer_parity(
     :class:`IntegerBackendParityError` naming the first layer whose own
     output breaks its bound — localizing a code/scale bug to the layer
     that computes differently rather than the output it surfaces at.
-    Returns the observed max abs difference on success.
+    Returns the observed max abs difference on success. ``reference``
+    must compute in float64 (a ``ValueError`` otherwise): the bound is
+    derived at float64 eps, and a float32 model's own rounding would
+    dwarf it.
     """
+    reference_dtype = _model_input_dtype(reference)
+    if reference_dtype != np.float64:
+        raise ValueError(
+            f"the float reference must compute in float64, not "
+            f"{reference_dtype}; build it with "
+            "build_serving_model(artifact, dtype=np.float64)"
+        )
     rtol = integer_model.parity_rtol if rtol is None else float(rtol)
     x = np.asarray(inputs, dtype=np.float64)
     with no_grad():

@@ -36,7 +36,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.serve.artifact import ArtifactManifest, ServingArtifact, compile_artifact
+from repro.serve.artifact import (
+    ArtifactManifest,
+    ServingArtifact,
+    build_serving_model,
+    compile_artifact,
+)
 from repro.serve.pool import AutoscalePolicy
 from repro.serve.session import ServeConfig, ServingSession, resolve_policy
 from repro.serve.trace import TraceConfig, TrafficTrace, generate_trace
@@ -94,7 +99,8 @@ def verify_replay(
 
     Integer-backend engines (``ServeConfig(backend="integer")``) get a
     second check on top of bit-exact self-parity: every verified batch
-    is also run through the artifact's *float* prototype and the served
+    is also run through a float64 build of the artifact's *float* model
+    (whatever dtype the float backend serves it in) and the served
     answers must agree within the derived rescale bound
     (:func:`~repro.serve.integer.verify_integer_parity` — failure names
     the offending layer and max abs error).
@@ -126,7 +132,7 @@ def verify_replay(
                     "cannot bound-check an integer engine without the "
                     "session's artifact (the float reference)"
                 )
-            float_reference = session.artifact.model()
+            float_reference = build_serving_model(session.artifact, dtype=np.float64)
         index_of = {
             rid: row
             for row, (eng, rid) in enumerate(zip(engine_indices, run.request_ids))

@@ -385,7 +385,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     rng = rng if rng is not None else np.random.default_rng()
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    mask = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype, copy=False)
 
     def backward(grad):
         return ((x, grad * mask),)

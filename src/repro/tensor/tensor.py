@@ -83,7 +83,8 @@ class Tensor:
     ----------
     data:
         Array data; anything ``np.asarray`` accepts. Floating point data
-        is kept in float64 for numerically stable importance scores.
+        keeps its dtype, so every op computes in its inputs' dtype;
+        integer and boolean data becomes float64, the training default.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
@@ -252,9 +253,19 @@ class Tensor:
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(value: ArrayLike) -> "Tensor":
-        return value if isinstance(value, Tensor) else Tensor(value)
+    def _coerce(self, value: ArrayLike) -> "Tensor":
+        """``value`` as the other operand of a binary op on this tensor.
+
+        Python scalars are weakly typed, as in NumPy's own promotion:
+        they take this tensor's dtype instead of widening it, so
+        ``x * 0.5`` stays float32 for float32 ``x``. Arrays and NumPy
+        scalars keep their dtype and promote as NumPy does.
+        """
+        if isinstance(value, Tensor):
+            return value
+        if isinstance(value, (int, float)) and not isinstance(value, np.generic):
+            return Tensor(np.asarray(value, dtype=self.data.dtype))
+        return Tensor(value)
 
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._coerce(other)
@@ -455,7 +466,7 @@ class Tensor:
             )
             mask = a.data == expanded_result
             # Split gradient equally among ties, matching subgradient choice.
-            counts = mask.sum(axis=axis, keepdims=True)
+            counts = mask.sum(axis=axis, keepdims=True).astype(grad.dtype)
             expanded_grad = _expand_reduced(grad, a.shape, axis, keepdims)
             return ((a, expanded_grad * mask / counts),)
 

@@ -328,7 +328,7 @@ class TestBatchNormInference:
     ):
         rng = np.random.default_rng(seed)
         channels = int(rng.integers(1, 6))
-        bn = cls(channels, eps=eps)
+        bn = cls(channels, eps=eps).astype(param_dtype)  # buffers keep this dtype
         bn.weight.data = rng.standard_normal(channels).astype(param_dtype)
         bn.bias.data = rng.standard_normal(channels).astype(param_dtype)
         bn._set_buffer("running_mean", rng.standard_normal(channels).astype(param_dtype))
@@ -342,6 +342,7 @@ class TestBatchNormInference:
             fast = bn(x)
         graph = bn(x)  # weight requires grad: the Tensor-node path
         assert graph._parents and not fast._parents
+        assert fast.dtype == np.result_type(x_dtype, param_dtype)
         assert_bitwise(fast.data, graph.data)
         with no_grad():
             assert_bitwise(fast.data, oracle_batch_norm(bn, x).data)
@@ -516,6 +517,9 @@ def test_refine_epoch_matches_backward_oracles(arch, tiny_dataset, monkeypatch):
 # ----------------------------------------------------------------------
 #: sha256 of the served outputs (100 test images, batches of 32), recorded
 #: on the host below. Other BLAS builds or CPUs may round differently.
+#: ``float`` is the float backend built in float64, which every sidecar
+#: served in before models computed in their sidecar's dtype; ``float32``
+#: is the float backend as the default float32 sidecar serves it.
 GOLDEN_HOST = {
     "numpy": "2.4.6",
     "blas": "0.3.31.188.0",
@@ -524,6 +528,7 @@ GOLDEN_HOST = {
 }
 GOLDEN_DIGESTS = {
     "float": "ad0d8f920b22508d181ddb9db6763f8a09507b801f10c9ce34f4aa9a667df028",
+    "float32": "84842297f606bbdbf8928f74bde0fa44925ff2671056f2390cc2ba91f9a2b021",
     "integer": "8cea4e5ee89d8e61a99ed03d81e6f0caf3c8c594cafeaea7b483d6ec9c553581",
 }
 
@@ -557,21 +562,36 @@ def served_outputs(model, images):
         )
 
 
-@pytest.mark.parametrize("backend", ["float", "integer"])
+#: The dtype each backend computes in (and is fed).
+BACKEND_DTYPES = {"float": np.float64, "float32": np.float32, "integer": np.float64}
+
+
+@pytest.mark.parametrize("backend", ["float", "float32", "integer"])
 class TestServedPreset:
     def model(self, artifact, backend):
-        return artifact.model() if backend == "float" else artifact.integer_model().clone()
+        from repro.serve.artifact import build_serving_model
+
+        if backend == "float":
+            return build_serving_model(artifact, dtype=np.float64)
+        if backend == "float32":
+            assert artifact.compute_dtype == np.float32
+            return artifact.model()
+        return artifact.integer_model().clone()
+
+    def outputs(self, artifact, images, backend):
+        model = self.model(artifact, backend)
+        return served_outputs(model, images.astype(BACKEND_DTYPES[backend]))
 
     def test_matches_oracle_kernels(self, served_preset, backend, monkeypatch):
         artifact, images = served_preset
-        got = served_outputs(self.model(artifact, backend), images)
+        got = self.outputs(artifact, images, backend)
         patch_oracles(monkeypatch)
-        assert_bitwise(got, served_outputs(self.model(artifact, backend), images))
+        assert_bitwise(got, self.outputs(artifact, images, backend))
 
     def test_golden_digest(self, served_preset, backend):
         if host_fingerprint() != GOLDEN_HOST:
             pytest.skip(f"golden digests were recorded on {GOLDEN_HOST}")
         artifact, images = served_preset
-        outputs = served_outputs(self.model(artifact, backend), images)
-        assert outputs.shape == (100, 10) and outputs.dtype == np.float64
+        outputs = self.outputs(artifact, images, backend)
+        assert outputs.shape == (100, 10) and outputs.dtype == BACKEND_DTYPES[backend]
         assert hashlib.sha256(outputs.tobytes()).hexdigest() == GOLDEN_DIGESTS[backend]

@@ -277,7 +277,8 @@ class TestEndpoints:
         assert described["name"] == "golden"
         assert described["loaded"] is True
         assert described["input_shape"] == [3, 8, 8]
-        assert described["input_dtype"] == "float64"
+        # The default float32 sidecar is served in float32.
+        assert described["input_dtype"] == "float32"
         assert described["live_engines"] == 1
 
     def test_list_and_b64_encodings_agree(self, gateway):
@@ -314,7 +315,7 @@ class TestEndpoints:
             "backend": "float",
             "batch": 2,
             "engine_indices": [0, 0],
-            "input_dtype": "float64",
+            "input_dtype": "float32",
             "latency_s": parsed["latency_s"],
             "outputs": parsed["outputs"],
             "request_ids": [0, 1],
@@ -322,7 +323,7 @@ class TestEndpoints:
         }
         assert raw == canonical_dumps(expected).encode("utf-8")
         outputs = decode_tensor(parsed["outputs"])
-        assert outputs.shape == (2, 4)
+        assert outputs.shape == (2, 4) and outputs.dtype == np.float32
         assert np.all(np.isfinite(outputs))
 
     def test_golden_stats_response_bytes(self, gateway):

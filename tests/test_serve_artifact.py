@@ -212,6 +212,7 @@ class TestSidecarDtype:
         )
         for name, value in _serving_state(model).items():
             expected = np.asarray(value).astype(np.float32).astype(np.float64)
+            assert artifact.state[name].dtype == np.float32  # kept as stored
             np.testing.assert_array_equal(artifact.state[name], expected)
 
     def test_float32_artifact_builds_and_serves(self, quantized_mlp, rng):
@@ -219,9 +220,36 @@ class TestSidecarDtype:
         serving = compile_artifact(model, manifest, sidecar_dtype="float32").model()
         batch = rng.standard_normal((4, 3, 8, 8))
         with no_grad():
-            got = serving(Tensor(batch)).data
+            got = serving(Tensor(batch.astype(np.float32))).data
             expected = model(Tensor(batch)).data
+        assert got.dtype == np.float32
         np.testing.assert_allclose(got, expected, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "sidecar_dtype,compute_dtype",
+        [("float64", np.float64), ("float32", np.float32), ("float16", np.float32),
+         ("mixed", np.float64)],
+    )
+    def test_model_computes_in_the_sidecar_compute_dtype(
+        self, quantized_mlp, sidecar_dtype, compute_dtype
+    ):
+        """float32 and float16 sidecars serve in float32; float64, legacy
+        CQS1 and mixed sidecars in float64. The integer shell is float64
+        whatever the sidecar."""
+        import dataclasses
+
+        model, manifest = quantized_mlp
+        stored = "float32" if sidecar_dtype == "mixed" else sidecar_dtype
+        artifact = compile_artifact(model, manifest, sidecar_dtype=stored)
+        if sidecar_dtype == "mixed":  # a CQS2 sidecar carrying several tags
+            artifact = dataclasses.replace(artifact, sidecar_dtype="mixed")
+        assert artifact.compute_dtype == compute_dtype
+        for name, param in artifact.model().named_parameters():
+            assert param.dtype == compute_dtype, name
+        for name, buffer in artifact.model().named_buffers():
+            assert buffer.dtype == compute_dtype, name
+        for _, param in artifact.integer_model().named_parameters():
+            assert param.dtype == np.float64
 
     def test_unknown_dtype_rejected(self, quantized_mlp):
         model, manifest = quantized_mlp
@@ -246,15 +274,23 @@ class TestSidecarDtype:
 class TestServingModel:
     def test_weights_are_bit_exact_with_effective_weight(self, quantized_mlp):
         # Quantized weights travel as integer codes, so reconstruction
-        # is bitwise whatever the sidecar dtype (float32 default here).
+        # is bitwise whatever the sidecar dtype (float32 default here):
+        # exact in a float64 build, and rounded once to the float32 the
+        # default sidecar serves in.
+        from repro.serve.artifact import build_serving_model
+
         model, manifest = quantized_mlp
-        serving = compile_artifact(model, manifest).model()
+        artifact = compile_artifact(model, manifest)
         reference = quantized_layers(model)
-        for name, layer in quantized_layers(serving).items():
-            assert layer.weight_quant_enabled is False
-            np.testing.assert_array_equal(
-                layer.weight.data, reference[name].effective_weight().data
-            )
+        for serving, dtype in [
+            (artifact.model(), np.float32),
+            (build_serving_model(artifact, dtype=np.float64), np.float64),
+        ]:
+            for name, layer in quantized_layers(serving).items():
+                assert layer.weight_quant_enabled is False
+                assert layer.weight.dtype == dtype
+                expected = reference[name].effective_weight().data.astype(dtype)
+                assert layer.weight.data.tobytes() == expected.tobytes()
 
     def test_forward_parity_weights_only(self, quantized_mlp, rng):
         model, manifest = quantized_mlp

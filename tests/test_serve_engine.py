@@ -389,6 +389,17 @@ class TestInputDtype:
         with InferenceEngine(FailingModel(), autostart=False) as engine:
             assert engine.input_dtype == np.float64
 
+    def test_model_with_disagreeing_parameter_dtypes_is_refused(self):
+        from repro.nn.layers import ReLU
+        from repro.nn.module import Sequential
+
+        rng = np.random.default_rng(0)
+        model = Sequential(Linear(3, 4, rng=rng), ReLU(), Linear(4, 2, rng=rng))
+        model.astype(np.float32)
+        model[2].astype(np.float64)  # one float64 layer in a float32 model
+        with pytest.raises(ValueError, match=r"'2\.weight' is float64 but '0\.weight' is float32"):
+            InferenceEngine(model, autostart=False)
+
 
 class TestCombinedStats:
     def test_combine_sums_counters_and_maxes_high_water_marks(self):

@@ -49,6 +49,7 @@ from repro.quant.integer import (
     compile_integer_layer_from_export,
     integer_forward,
 )
+from repro.serve.artifact import build_serving_model
 from repro.tensor.tensor import Tensor, no_grad
 
 
@@ -93,6 +94,17 @@ def saved_and_reloaded(model, manifest, tmp_path, name="model.cqw"):
     return path, load_artifact(path)
 
 
+def float64_reference(artifact):
+    """The float model the rescale bound is derived against: a float64
+    build, whatever dtype the float backend serves the artifact in."""
+    return build_serving_model(artifact, dtype=np.float64)
+
+
+def float64_forward(artifact, inputs):
+    with no_grad():
+        return float64_reference(artifact)(Tensor(np.asarray(inputs))).data
+
+
 def assert_within_rescale_bound(got, expected, rtol):
     tolerance = rtol * max(1.0, float(np.max(np.abs(expected))))
     error = float(np.max(np.abs(got - expected)))
@@ -119,8 +131,7 @@ class TestIntegerSessions:
         )
         path, artifact = saved_and_reloaded(model, manifest, tmp_path)
         inputs = np.random.default_rng(99).standard_normal((12, 3, 8, 8))
-        with ServingSession(path, cache=ArtifactCache()) as session:
-            expected = session.predict_batch(inputs)
+        expected = float64_forward(artifact, inputs)
         with ServingSession(
             path, cache=ArtifactCache(), config=ServeConfig(backend="integer")
         ) as session:
@@ -193,15 +204,16 @@ class TestIntegerSessions:
 
     def test_float_and_integer_leases_share_one_cache_entry(self, tmp_path):
         model, manifest = build_random_bits_model(max_bits=4)
-        path, _ = saved_and_reloaded(model, manifest, tmp_path)
+        path, artifact = saved_and_reloaded(model, manifest, tmp_path)
         cache = ArtifactCache()
         with ServingSession(path, cache=cache) as float_session:
             with ServingSession(
                 path, cache=cache, config=ServeConfig(backend="integer")
             ) as int_session:
                 x = np.random.default_rng(0).standard_normal((3, 8, 8))
-                expected = float_session.predict(x)
+                float_session.predict(x)
                 got = int_session.predict(x)
+        expected = float64_forward(artifact, x[None])[0]
         # One parse (hit on the second session), two leases, balanced.
         assert cache.stats.misses == 1 and cache.stats.hits >= 1
         assert cache.stats.leases == 2 and cache.stats.releases == 2
@@ -349,7 +361,7 @@ class TestPackingEdgeCases:
         integer_model = compile_integer_serving(artifact)
         inputs = np.random.default_rng(seed).standard_normal((9, 3, 8, 8))
         difference = verify_integer_parity(
-            integer_model, artifact.model(), inputs
+            integer_model, float64_reference(artifact), inputs
         )
         assert difference >= 0.0
 
@@ -376,7 +388,7 @@ class TestParityVerifier:
         integer_model._install()  # re-bind closures over the edited spec
         inputs = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
         with pytest.raises(IntegerBackendParityError) as excinfo:
-            verify_integer_parity(integer_model, artifact.model(), inputs)
+            verify_integer_parity(integer_model, float64_reference(artifact), inputs)
         message = str(excinfo.value)
         assert victim in message
         assert "max abs error" in message
@@ -386,12 +398,25 @@ class TestParityVerifier:
         # error must stay in that hierarchy.
         assert issubclass(IntegerBackendParityError, AssertionError)
 
+    def test_float32_reference_is_rejected(self, tmp_path):
+        # The bound is derived at float64 eps: a float32 reference would
+        # fail it on its own rounding, so it is refused up front.
+        model, manifest = build_random_bits_model(max_bits=4)
+        _path, artifact = saved_and_reloaded(model, manifest, tmp_path)
+        assert artifact.compute_dtype == np.float32
+        with pytest.raises(ValueError, match="float64"):
+            verify_integer_parity(
+                artifact.clone_model_for("integer"),
+                artifact.model(),
+                np.zeros((2, 3, 8, 8)),
+            )
+
     def test_passing_verifier_returns_observed_difference(self, tmp_path):
         model, manifest = build_random_bits_model(max_bits=4, act_bits=2)
         _path, artifact = saved_and_reloaded(model, manifest, tmp_path)
         difference = verify_integer_parity(
             artifact.clone_model_for("integer"),
-            artifact.model(),
+            float64_reference(artifact),
             np.random.default_rng(1).standard_normal((6, 3, 8, 8)),
         )
         rtol = integer_parity_rtol(artifact.export)

@@ -152,6 +152,14 @@ class TestMultiEngineParity:
         save_artifact(path, model, manifest)
         return path
 
+    @pytest.fixture
+    def artifact_path64(self, quantized_mlp_factory, tmp_path):
+        """A float64-sidecar artifact, served in float64."""
+        model, manifest = quantized_mlp_factory(act_bits=2)
+        path = tmp_path / "model64.cqw"
+        save_artifact(path, model, manifest, sidecar_dtype="float64")
+        return path
+
     def test_two_leased_engines_match_single_engine_bitwise(self, artifact_path):
         cache = ArtifactCache()
         inputs = np.random.default_rng(7).standard_normal((24, 3, 8, 8))
@@ -163,6 +171,7 @@ class TestMultiEngineParity:
             single_run = backlog_replay(single, inputs, concurrency=3)
             assert verify_replay(single, inputs, single_run) == len(inputs)
             single_model = single.model  # the single-engine path's clone
+            served = inputs.astype(single.input_dtype)  # the bytes engines see
 
         pooled_config = ServeConfig(
             batch_window_s=0.01, max_batch_size=4, record_batches=True, engines=2
@@ -193,7 +202,7 @@ class TestMultiEngineParity:
                     rows = [index_of[rid] for rid in batch]
                     with no_grad():
                         reference = single_model(
-                            Tensor(np.stack([inputs[row] for row in rows]))
+                            Tensor(np.stack([served[row] for row in rows]))
                         ).data
                     for position, row in enumerate(rows):
                         np.testing.assert_array_equal(
@@ -227,14 +236,14 @@ class TestMultiEngineParity:
             # With the engine map, the same data verifies fully.
             assert verify_replay(session, inputs, run) == len(inputs)
 
-    def test_threaded_clients_on_pooled_session(self, artifact_path):
+    def test_threaded_clients_on_pooled_session(self, artifact_path64):
         """Raw threaded predict() calls (not the replay harness) across
         a pooled session agree with a direct forward bitwise."""
         cache = ArtifactCache()
         inputs = np.random.default_rng(3).standard_normal((16, 3, 8, 8))
         config = ServeConfig(batch_window_s=0.005, max_batch_size=4, engines=2)
         results = [None] * len(inputs)
-        with ServingSession(artifact_path, config=config, cache=cache) as session:
+        with ServingSession(artifact_path64, config=config, cache=cache) as session:
 
             def client(offset):
                 for index in range(offset, len(inputs), 4):
@@ -424,8 +433,8 @@ class TestIntegerBackendParity:
             assert pooled.models[0] is not pooled.models[1]
             run = backlog_replay(pooled, inputs, concurrency=4)
             assert sorted(set(run.engine_indices)) == [0, 1]
-            # Bitwise self-parity per engine + the rescale bound vs the
-            # float prototype, both inside verify_replay.
+            # Bitwise self-parity per engine + the rescale bound vs a
+            # float64 build of the float model, both inside verify_replay.
             assert verify_replay(
                 pooled, inputs, run, expected=len(inputs)
             ) == len(inputs)
@@ -452,8 +461,8 @@ class TestIntegerBackendParity:
                         np.testing.assert_array_equal(
                             run.outputs[row], mirrored[position]
                         )
-        # Float prototype (the verifier's reference) + 2 integer leases
-        # all came from one cache entry.
+        # The float prototype + 2 integer leases all came from one
+        # cache entry.
         assert cache.stats.misses == 1
         assert cache.active_leases() == 0
 
@@ -461,11 +470,15 @@ class TestIntegerBackendParity:
         self, artifact_path
     ):
         from repro.serve import integer_parity_rtol, load_artifact
+        from repro.serve.artifact import build_serving_model
 
         cache = ArtifactCache()
         inputs = np.random.default_rng(23).standard_normal((12, 3, 8, 8))
-        with ServingSession(artifact_path, cache=cache) as session:
-            expected = session.predict_batch(inputs)
+        # The bound is derived against the float model in float64, not
+        # the float32 the default sidecar's float backend serves in.
+        reference = build_serving_model(load_artifact(artifact_path), dtype=np.float64)
+        with no_grad():
+            expected = reference(Tensor(inputs)).data
         with ServingSession(
             artifact_path,
             cache=cache,

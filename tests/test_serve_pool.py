@@ -554,7 +554,7 @@ class TestIntegerBackendPool:
         assert pool.stats.redispatched == 6
         # The replacement is an integer engine and its rescued answers
         # pass both verify_replay legs (bitwise self-parity + rescale
-        # bound vs the artifact's float prototype).
+        # bound vs a float64 build of the artifact's float model).
         pool_artifact = act_artifact
 
         class _PoolSession:  # verify_replay's minimal session surface

@@ -25,6 +25,14 @@ def artifact(quantized_mlp_factory):
     return compile_artifact(model, manifest)
 
 
+@pytest.fixture
+def artifact64(quantized_mlp_factory):
+    """A float64-sidecar artifact: it serves in float64, so answers from
+    different batch shapes agree to float64 precision."""
+    model, manifest = quantized_mlp_factory()
+    return compile_artifact(model, manifest, sidecar_dtype="float64")
+
+
 class TestConstruction:
     def test_from_artifact(self, artifact):
         """An in-memory artifact is served through a private cache: the
@@ -248,13 +256,13 @@ class TestMultiEngineSession:
             assert combined.requests == 8
             assert combined.completed == 8
 
-    def test_predict_batch_row_order_preserved_across_engines(self, artifact, rng):
+    def test_predict_batch_row_order_preserved_across_engines(self, artifact64, rng):
         xs = rng.standard_normal((9, 3, 8, 8))
         config = ServeConfig(batch_window_s=0.01, max_batch_size=4, engines=2)
-        with ServingSession(artifact, config=config) as session:
+        with ServingSession(artifact64, config=config) as session:
             got = session.predict_batch(xs)
         sequential_config = ServeConfig(batch_window_s=0.0, max_batch_size=1)
-        with ServingSession(artifact, config=sequential_config) as session:
+        with ServingSession(artifact64, config=sequential_config) as session:
             sequential = session.predict_batch(xs)
         np.testing.assert_allclose(got, sequential, rtol=1e-9, atol=1e-12)
 
@@ -269,14 +277,16 @@ class TestPredict:
         x = rng.standard_normal((3, 8, 8))
         with ServingSession(artifact) as session:
             got = session.predict(x)
+            dtype = session.input_dtype
+        assert dtype == artifact.compute_dtype == np.float32
         with no_grad():
-            expected = artifact.model()(Tensor(x[None])).data[0]
+            expected = artifact.model()(Tensor(x[None].astype(dtype))).data[0]
         np.testing.assert_array_equal(got, expected)
 
-    def test_predict_batch_preserves_row_order(self, artifact, rng):
+    def test_predict_batch_preserves_row_order(self, artifact64, rng):
         xs = rng.standard_normal((9, 3, 8, 8))
         config = ServeConfig(batch_window_s=0.01, max_batch_size=4, record_batches=True)
-        with ServingSession(artifact, config=config) as session:
+        with ServingSession(artifact64, config=config) as session:
             got = session.predict_batch(xs)
             stats = session.stats
         assert got.shape == (9, 4)
@@ -285,7 +295,7 @@ class TestPredict:
         # sequential session must agree row by row (tiny float drift
         # across batch shapes is allowed; a row swap is not).
         sequential_config = ServeConfig(batch_window_s=0.0, max_batch_size=1)
-        with ServingSession(artifact, config=sequential_config) as session:
+        with ServingSession(artifact64, config=sequential_config) as session:
             sequential = session.predict_batch(xs)
         np.testing.assert_allclose(got, sequential, rtol=1e-9, atol=1e-12)
 
