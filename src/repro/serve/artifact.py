@@ -347,14 +347,6 @@ class ServingArtifact:
                 self._integer_model = compile_integer_serving(self)
             return self._integer_model
 
-    def model_for(self, backend: str):
-        """The prototype for ``backend`` (``"float"`` or ``"integer"``)."""
-        if backend == "float":
-            return self.model()
-        if backend == "integer":
-            return self.integer_model()
-        raise ValueError(f"unknown serving backend {backend!r}")
-
     def clone_model_for(self, backend: str):
         """A private, bit-identical clone of the ``backend`` prototype.
 
@@ -365,10 +357,11 @@ class ServingArtifact:
         parsed codes, manifest and serialized bytes stay shared through
         this artifact (they are immutable after parse).
         """
-        prototype = self.model_for(backend)
+        if backend == "float":
+            return clone_module(self.model())
         if backend == "integer":
-            return prototype.clone()
-        return clone_module(prototype)
+            return self.integer_model().clone()
+        raise ValueError(f"unknown serving backend {backend!r}")
 
     @property
     def private_nbytes(self) -> int:
@@ -827,25 +820,7 @@ class ArtifactCache:
 
     def load_bytes(self, data: Union[bytes, bytearray, memoryview]) -> ServingArtifact:
         key = hashlib.sha256(data).hexdigest()[:16]
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-        artifact = load_artifact_bytes(data)
-        artifact.model()  # build eagerly so cache hits skip reconstruction
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:  # lost a race; keep the first build
-                self._entries.move_to_end(key)
-                self.stats.races += 1
-                return existing
-            self._entries[key] = artifact
-            self.stats.misses += 1
-            self._account_locked(artifact, 1)
-            self._evict_locked()
-        return artifact
+        return self._insert(key, lambda: load_artifact_bytes(data))
 
     def lease(
         self,
@@ -902,20 +877,29 @@ class ArtifactCache:
         """Insert an already-parsed artifact under its content key."""
         if not artifact.content_key:
             raise ValueError("artifact has no content key (not load-path built)")
-        with self._lock:  # fast path: don't build a prototype just to drop it
-            existing = self._entries.get(artifact.content_key)
-            if existing is not None:
-                self._entries.move_to_end(artifact.content_key)
-                self.stats.hits += 1
-                return existing
-        artifact.model()  # ensure the prototype exists outside the lock
+        return self._insert(artifact.content_key, lambda: artifact)
+
+    def _insert(self, key: str, parse) -> ServingArtifact:
+        """The one insert path: a hit returns the cached entry; a miss
+        gets the artifact from ``parse()`` and builds its prototype
+        outside the lock (so hits skip reconstruction), then re-checks
+        for a racing insert — keeping the first build — before
+        inserting, accounting and evicting."""
         with self._lock:
-            existing = self._entries.get(artifact.content_key)
-            if existing is not None:  # lost a race; keep the first build
-                self._entries.move_to_end(artifact.content_key)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return entry
+        artifact = parse()
+        artifact.model()
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                self._entries.move_to_end(key)
                 self.stats.races += 1
                 return existing
-            self._entries[artifact.content_key] = artifact
+            self._entries[key] = artifact
             self.stats.misses += 1
             self._account_locked(artifact, 1)
             self._evict_locked()

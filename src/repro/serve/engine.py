@@ -20,6 +20,13 @@ Threading model: the worker thread is the only thread that touches the
 model; ``submit``/``predict`` may be called from any number of threads.
 :class:`ServeStats` mirrors :class:`repro.core.evaluator.EvalStats` —
 cost and latency counters that ride along with every replay report.
+
+Admission, the table of outstanding requests, batch accounting,
+``drain``, the orphan hand-off after a death and the settling of
+leftovers at close live in one private base, ``_EngineCore``, which
+the process placement's worker handle
+(:class:`~repro.serve.procpool.ProcessWorkerHandle`) shares; both
+placements execute batches through ``_forward_batch``.
 """
 
 from __future__ import annotations
@@ -139,7 +146,9 @@ class ServeStats:
 
     max_batch_seen: int = 0
     max_queue_depth: int = 0
-    """Deepest queue observed at submit time."""
+    """Most requests outstanding at once (admitted and not yet
+    answered — queued or in flight), observed at admission; the count
+    ``queue_depth`` and ``max_pending`` use."""
 
     total_forward_s: float = 0.0
     total_latency_s: float = 0.0
@@ -384,8 +393,321 @@ class _QueuedRequest:
         self.enqueued_at = enqueued_at
 
 
-class InferenceEngine:
-    """Thread-safe request queue + dynamic micro-batching worker.
+def _forward_batch(model, rows):
+    """Run one batch: ``(outputs, error, service_s, acc_bits)``.
+
+    Stacks the rows and runs the forward under ``no_grad``; an
+    ``Exception`` becomes the whole batch's ``error``. ``acc_bits`` is
+    the model's ``max_acc_bits()`` probe (integer backend) or 0. Both
+    placements execute batches through this one function.
+    """
+    started = time.monotonic()
+    outputs = None
+    error: Optional[Exception] = None
+    try:
+        inputs = np.stack(rows)
+        with no_grad():
+            outputs = model(Tensor(inputs)).data
+    except Exception as exc:  # answer the whole batch with the failure
+        error = exc
+    service_s = time.monotonic() - started
+    probe = getattr(model, "max_acc_bits", None)
+    return outputs, error, service_s, int(probe()) if probe is not None else 0
+
+
+class _EngineCore:
+    """The placement-independent half of an engine.
+
+    Owns admission (input coercion, ``max_pending``), the table of
+    outstanding requests, batch completion and its accounting, the
+    orphan hand-off after a death, ``drain`` and the settling of
+    leftovers at close. A subclass decides where forwards run —
+    :class:`InferenceEngine` on a worker thread,
+    :class:`~repro.serve.procpool.ProcessWorkerHandle` in a worker
+    process. It receives each admitted request through
+    :meth:`_enqueue_locked` (under ``_cond``) and :meth:`_ship` (after
+    it), reports every executed batch through :meth:`_complete`, flags
+    its worker's exit through :meth:`_note_exit`, and settles what is
+    left once that worker is down with :meth:`_settle_leftovers`.
+
+    A request is outstanding from admission until its answer has been
+    delivered: ``queue_depth``, ``max_pending`` and
+    ``ServeStats.max_queue_depth`` all count outstanding requests, and
+    ``drain()`` returns only once every answer is in its future.
+    """
+
+    def __init__(
+        self,
+        input_dtype,
+        backend: str,
+        record_batches: bool,
+        max_pending: Optional[int],
+    ):
+        if max_pending is not None and max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        self.input_dtype = np.dtype(input_dtype)
+        self.max_pending = None if max_pending is None else int(max_pending)
+        self._record = bool(record_batches)  # immutable after construction
+        self._cond = threading.Condition()
+        self._outstanding: Dict[int, _QueuedRequest] = {}  # guarded-by: _cond
+        self._stats = ServeStats(backend=backend)  # guarded-by: _cond
+        self._batches: List[Tuple[int, ...]] = []  # guarded-by: _cond
+        self._next_id = 0  # guarded-by: _cond
+        self._started = False  # guarded-by: _cond
+        self._closing = False  # guarded-by: _cond
+        self._crashed = False  # guarded-by: _cond
+
+    # ------------------------------------------------------------------
+    # Placement hooks
+    # ------------------------------------------------------------------
+    def _enqueue_locked(self, request: _QueuedRequest) -> None:
+        """Hand an admitted request to the worker (``_cond`` held)."""
+
+    def _ship(self, request: _QueuedRequest) -> None:
+        """Placement work for an admitted request that must run
+        without ``_cond`` held (a pipe write may block)."""
+
+    def _strip_locked(self) -> List[_QueuedRequest]:
+        """Remove and return every unanswered request, in id order."""
+        stripped = [r for r in self._outstanding.values() if not r.pending.done()]
+        self._outstanding.clear()
+        return stripped
+
+    # ------------------------------------------------------------------
+    # Request side
+    # ------------------------------------------------------------------
+    def submit(self, x) -> PendingPrediction:
+        """Enqueue one input; returns immediately with a handle.
+
+        The input is coerced to the served model's own dtype
+        (:data:`input_dtype`), not a hard-coded float64 — so a float32
+        model is fed float32 and the replayed parity comparison sees
+        exactly the bytes the worker batched. A closed or dead engine
+        refuses with :class:`EngineClosed`; a full one sheds with
+        :class:`QueueFull`.
+        """
+        array = np.asarray(x, dtype=self.input_dtype)
+        request = _QueuedRequest(-1, array, time.monotonic())
+        self._admit(request, shed=True)
+        return request.pending
+
+    def adopt(self, request: _QueuedRequest) -> None:
+        """Enqueue an orphaned request taken from a dead engine.
+
+        The request gets a fresh engine-local id (ids are engine-local;
+        the dead engine's id space means nothing here) and its pending
+        handle is remapped, keeping ``(engine_index, request_id)``
+        globally meaningful after re-dispatch. Adoption deliberately
+        bypasses ``max_pending``: the request was already admitted once,
+        and shedding it now would silently drop accepted work.
+        """
+        self._admit(request, shed=False)
+
+    def _admit(self, request: _QueuedRequest, shed: bool) -> None:
+        with self._cond:
+            if self._closing or self._crashed:
+                raise EngineClosed("engine is closed")
+            depth = len(self._outstanding)
+            if shed and self.max_pending is not None and depth >= self.max_pending:
+                self._stats.rejected += 1
+                raise QueueFull(
+                    f"engine has {depth} requests pending "
+                    f"(max_pending={self.max_pending}); retry later"
+                )
+            request.rid = self._next_id
+            request.pending.request_id = request.rid
+            self._next_id += 1
+            self._outstanding[request.rid] = request
+            self._stats.requests += 1
+            self._stats.max_queue_depth = max(self._stats.max_queue_depth, depth + 1)
+            self._enqueue_locked(request)
+            self._cond.notify_all()
+        self._ship(request)
+
+    def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
+        """Synchronous single prediction."""
+        return self.submit(x).result(timeout)
+
+    def drain(self, timeout: Optional[float] = None) -> None:
+        """Block until every submitted request has been answered."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while self._outstanding:
+                if self._crashed:
+                    raise EngineDied(
+                        "engine worker died with requests outstanding; "
+                        "they will never drain"
+                    )
+                if not self._started and not self._closing:
+                    raise RuntimeError(
+                        "drain() on an engine that was never started; call start()"
+                    )
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        raise TimeoutError("drain() timed out")
+                self._cond.wait(remaining)
+
+    # ------------------------------------------------------------------
+    # Answer side
+    # ------------------------------------------------------------------
+    def _complete(
+        self,
+        rids,
+        outputs: Optional[np.ndarray],
+        error: Optional[BaseException],
+        service_s: float,
+        acc_bits: int,
+    ) -> None:
+        """Account for one executed batch, in a fixed order: answer
+        every row, update the stats, record the batch's composition,
+        then wake ``drain()``. The rows stay outstanding until all of
+        them are answered, so a returning ``drain()`` has seen every
+        answer."""
+        with self._cond:
+            batch = [self._outstanding[rid] for rid in rids]
+        finished = time.monotonic()
+        latencies = [finished - request.enqueued_at for request in batch]
+        for index, request in enumerate(batch):
+            if error is not None:
+                request.pending._finish(
+                    error=error, latency_s=latencies[index], service_s=service_s
+                )
+            else:
+                request.pending._finish(
+                    value=outputs[index].copy(),
+                    latency_s=latencies[index],
+                    service_s=service_s,
+                )
+        with self._cond:
+            for rid in rids:
+                self._outstanding.pop(rid, None)
+            stats = self._stats
+            stats.forwards += 1
+            stats.total_forward_s += service_s
+            stats.max_batch_seen = max(stats.max_batch_seen, len(batch))
+            stats.acc_bits_used = max(stats.acc_bits_used, acc_bits)
+            if len(batch) > 1:
+                stats.coalesced_forwards += 1
+                stats.batched_requests += len(batch)
+            if error is not None:
+                stats.errors += len(batch)
+            else:
+                stats.completed += len(batch)
+                for latency in latencies:
+                    stats.latencies_s.append(latency)
+                    stats.total_latency_s += latency
+                    stats.max_latency_s = max(stats.max_latency_s, latency)
+            if self._record:
+                self._batches.append(tuple(rids))
+            self._cond.notify_all()
+
+    # ------------------------------------------------------------------
+    # Death, orphans and shutdown
+    # ------------------------------------------------------------------
+    @property
+    def worker_died(self) -> bool:
+        """True once the worker has died without closing."""
+        with self._cond:
+            return self._crashed
+
+    @property
+    def queue_depth(self) -> int:
+        """Requests admitted and not yet answered (autoscaler signal)."""
+        with self._cond:
+            return len(self._outstanding)
+
+    def _note_exit(self) -> bool:
+        """The worker stopped: unless a close is underway, that is a
+        death. Wakes every waiter (``drain()``, the pool supervisor) and
+        returns whether the engine is now marked dead."""
+        with self._cond:
+            self._crashed = self._crashed or not self._closing
+            self._cond.notify_all()
+            return self._crashed
+
+    def take_orphans(self) -> List[_QueuedRequest]:
+        """Strip every unanswered request off a dead engine.
+
+        Returns the stranded requests in submission order and marks the
+        engine closing so no new work lands here. The orphans keep
+        their original ``enqueued_at``, so client-side latency spans the
+        death and re-dispatch. The dead engine's ``requests`` counter is
+        decremented by the orphan count: it never answered them, and
+        the engine that adopts them counts them afresh.
+        """
+        with self._cond:
+            self._closing = True
+            orphans = self._strip_locked()
+            self._stats.requests -= len(orphans)
+            self._cond.notify_all()
+        return orphans
+
+    def _settle_leftovers(self, drain: bool) -> None:
+        """Answer whatever the stopped worker never did.
+
+        After a death, or a draining close (which leaves work behind
+        only when the worker died), each request fails loudly with
+        :class:`EngineDied` — closing a dead engine must not turn into
+        a silent drop. After a non-draining close they are cancelled.
+        """
+        with self._cond:
+            leftovers = [r for r in self._outstanding.values() if not r.pending.done()]
+            died = self._crashed or drain
+        for request in leftovers:
+            request.pending._finish(
+                error=EngineDied("engine worker died before answering this request")
+                if died
+                else RequestCancelled("engine closed before the request ran")
+            )
+        with self._cond:
+            self._strip_locked()
+            if died:
+                self._stats.errors += len(leftovers)
+            else:
+                self._stats.cancelled += len(leftovers)
+            self._cond.notify_all()
+
+    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        raise NotImplementedError
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(drain=exc_type is None)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def stats(self) -> ServeStats:
+        """A consistent snapshot of the live counters."""
+        with self._cond:
+            return self._stats.snapshot()
+
+    def annotate_artifact(
+        self, nbytes: int, payload_nbytes: int, sidecar_nbytes: int
+    ) -> None:
+        """Record the served artifact's byte breakdown in the stats, so
+        size figures ride along with every throughput/latency report."""
+        with self._cond:
+            self._stats.artifact_nbytes = int(nbytes)
+            self._stats.payload_nbytes = int(payload_nbytes)
+            self._stats.sidecar_nbytes = int(sidecar_nbytes)
+
+    def executed_batches(self) -> List[Tuple[int, ...]]:
+        """Request-id composition of every executed batch
+        (``record_batches=True`` only)."""
+        if not self._record:
+            raise RuntimeError("engine was created with record_batches=False")
+        with self._cond:
+            return list(self._batches)
+
+
+class InferenceEngine(_EngineCore):
+    """Thread-safe request queue + dynamic micro-batching worker thread.
 
     Parameters
     ----------
@@ -425,33 +747,29 @@ class InferenceEngine:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if batch_window_s < 0:
             raise ValueError(f"batch_window_s must be >= 0, got {batch_window_s}")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self._model = model
         model.eval()
-        self.input_dtype = _model_input_dtype(model)
-        # Integer-backend models expose max_acc_bits(); the worker folds
-        # it into the stats after every batch.
-        self._acc_probe = getattr(model, "max_acc_bits", None)
-        self._stats_backend = getattr(model, "serving_backend", "float")
+        super().__init__(
+            _model_input_dtype(model),
+            getattr(model, "serving_backend", "float"),
+            record_batches,
+            max_pending,
+        )
+        self._model = model
         self.batch_window_s = float(batch_window_s)
         self.max_batch_size = int(max_batch_size)
-        self.max_pending = None if max_pending is None else int(max_pending)
-        self._cond = threading.Condition()
         self._queue: Deque[_QueuedRequest] = deque()  # guarded-by: _cond
-        self._stats = ServeStats(backend=self._stats_backend)  # guarded-by: _cond
-        self._record = record_batches  # immutable after construction
-        self._batches: List[Tuple[int, ...]] = []  # guarded-by: _cond
-        self._next_id = 0  # guarded-by: _cond
-        self._in_flight = 0  # guarded-by: _cond
-        self._current_batch: List[_QueuedRequest] = []  # guarded-by: _cond
-        self._closing = False  # guarded-by: _cond
         self._drain_on_close = True  # guarded-by: _cond
         self._kill = False  # guarded-by: _cond
-        self._crashed = False  # guarded-by: _cond
         self._thread: Optional[threading.Thread] = None  # guarded-by: _cond
         if autostart:
             self.start()
+
+    def _enqueue_locked(self, request: _QueuedRequest) -> None:
+        self._queue.append(request)
+
+    def _strip_locked(self) -> List[_QueuedRequest]:
+        self._queue.clear()
+        return super()._strip_locked()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -467,15 +785,8 @@ class InferenceEngine:
                 target=self._worker, name="repro-serve-worker", daemon=True
             )
             self._thread.start()
+            self._started = True
 
-    @property
-    def started(self) -> bool:
-        with self._cond:
-            return self._thread is not None
-
-    # ------------------------------------------------------------------
-    # Chaos / death handling
-    # ------------------------------------------------------------------
     def kill(self) -> None:
         """Chaos hook: make the worker thread die abruptly.
 
@@ -492,68 +803,6 @@ class InferenceEngine:
             self._kill = True
             self._cond.notify_all()
 
-    @property
-    def worker_died(self) -> bool:
-        """True once the worker thread has died without closing."""
-        with self._cond:
-            return self._crashed
-
-    @property
-    def queue_depth(self) -> int:
-        """Queued plus in-flight requests right now (autoscaler signal)."""
-        with self._cond:
-            return len(self._queue) + self._in_flight
-
-    def take_orphans(self) -> List[_QueuedRequest]:
-        """Strip every unanswered request off a dead engine.
-
-        Returns the stranded requests — the interrupted batch's
-        unanswered members first, then the queue, submission order —
-        and marks the engine closing so no new work lands here. The
-        orphans keep their original ``enqueued_at``, so client-side
-        latency spans the death and re-dispatch. The dead engine's
-        ``requests`` counter is decremented by the orphan count: it
-        never answered them, and the engine that adopts them counts
-        them afresh.
-        """
-        with self._cond:
-            self._closing = True
-            orphans = [
-                request
-                for request in self._current_batch
-                if not request.pending.done()
-            ]
-            orphans.extend(self._queue)
-            self._current_batch = []
-            self._queue.clear()
-            self._in_flight = 0
-            self._stats.requests -= len(orphans)
-            self._cond.notify_all()
-        return orphans
-
-    def adopt(self, request: _QueuedRequest) -> None:
-        """Enqueue an orphaned request taken from a dead engine.
-
-        The request gets a fresh engine-local id (ids are engine-local;
-        the dead engine's id space means nothing here) and its pending
-        handle is remapped, keeping ``(engine_index, request_id)``
-        globally meaningful after re-dispatch. Adoption deliberately
-        bypasses ``max_pending``: the request was already admitted once,
-        and shedding it now would silently drop accepted work.
-        """
-        with self._cond:
-            if self._closing:
-                raise EngineClosed("engine is closed")
-            request.rid = self._next_id
-            request.pending.request_id = request.rid
-            self._next_id += 1
-            self._queue.append(request)
-            self._stats.requests += 1
-            self._stats.max_queue_depth = max(
-                self._stats.max_queue_depth, len(self._queue)
-            )
-            self._cond.notify_all()
-
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Shut down. ``drain=True`` answers every queued request first;
         ``drain=False`` cancels them. Idempotent.
@@ -563,7 +812,6 @@ class InferenceEngine:
         closed in that case, and a later ``close()`` keeps waiting.
         """
         with self._cond:
-            already_closing = self._closing
             self._closing = True
             self._drain_on_close = self._drain_on_close and drain
             draining = self._drain_on_close
@@ -577,138 +825,14 @@ class InferenceEngine:
                     f"(draining={draining}); call close() again "
                     "to keep waiting"
                 )
-            with self._cond:
-                crashed = self._crashed
-            if crashed:
-                # The worker died rather than closed: whatever it left
-                # behind can never be answered here. Fail each stranded
-                # request loudly — closing a dead engine must not turn
-                # into a silent drop. (The pool's supervisor strips
-                # orphans with take_orphans() *before* closing, so this
-                # only fires for engines used outside a pool.)
-                orphans = self.take_orphans()
+        elif draining:
+            # Never started: answer the queue inline on the caller's thread.
+            while True:
                 with self._cond:
-                    # These requests are answered (with an error) right
-                    # here, not handed to another engine — keep them on
-                    # this engine's books.
-                    self._stats.requests += len(orphans)
-                    self._stats.errors += len(orphans)
-                for request in orphans:
-                    request.pending._finish(
-                        error=EngineDied(
-                            "engine worker died before answering this request"
-                        )
-                    )
-            return
-        if already_closing:
-            return
-        # Never started: settle the queue inline on the caller's thread.
-        while True:
-            with self._cond:
-                if not self._queue:
-                    break
-                if not drain:
-                    request = self._queue.popleft()
-                    self._stats.cancelled += 1
-                else:
-                    request = None
-            if request is not None:
-                request.pending._finish(
-                    error=RequestCancelled("engine closed before the request ran")
-                )
-                continue
-            self._run_batch(self._collect_batch())
-        with self._cond:
-            self._cond.notify_all()
-
-    def __enter__(self) -> "InferenceEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    # ------------------------------------------------------------------
-    # Request side
-    # ------------------------------------------------------------------
-    def submit(self, x) -> PendingPrediction:
-        """Enqueue one input; returns immediately with a handle.
-
-        The input is coerced to the served model's own dtype
-        (:data:`input_dtype`), not a hard-coded float64 — so a float32
-        model is fed float32 and the replayed parity comparison sees
-        exactly the bytes the worker batched.
-        """
-        array = np.asarray(x, dtype=self.input_dtype)
-        with self._cond:
-            if self._closing:
-                raise EngineClosed("engine is closed")
-            if (
-                self.max_pending is not None
-                and len(self._queue) + self._in_flight >= self.max_pending
-            ):
-                self._stats.rejected += 1
-                raise QueueFull(
-                    f"engine has {len(self._queue) + self._in_flight} requests "
-                    f"pending (max_pending={self.max_pending}); retry later"
-                )
-            request = _QueuedRequest(self._next_id, array, time.monotonic())
-            self._next_id += 1
-            self._queue.append(request)
-            self._stats.requests += 1
-            self._stats.max_queue_depth = max(
-                self._stats.max_queue_depth, len(self._queue)
-            )
-            self._cond.notify_all()
-        return request.pending
-
-    def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
-        """Synchronous single prediction."""
-        return self.submit(x).result(timeout)
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Block until every submitted request has been answered."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._queue or self._in_flight:
-                if self._crashed:
-                    raise EngineDied(
-                        "engine worker died with requests outstanding; "
-                        "they will never drain"
-                    )
-                if self._thread is None and not self._closing:
-                    raise RuntimeError(
-                        "drain() on an engine that was never started; call start()"
-                    )
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError("drain() timed out")
-                self._cond.wait(remaining)
-
-    @property
-    def stats(self) -> ServeStats:
-        """A consistent snapshot of the live counters."""
-        with self._cond:
-            return self._stats.snapshot()
-
-    def annotate_artifact(
-        self, nbytes: int, payload_nbytes: int, sidecar_nbytes: int
-    ) -> None:
-        """Record the served artifact's byte breakdown in the stats, so
-        size figures ride along with every throughput/latency report."""
-        with self._cond:
-            self._stats.artifact_nbytes = int(nbytes)
-            self._stats.payload_nbytes = int(payload_nbytes)
-            self._stats.sidecar_nbytes = int(sidecar_nbytes)
-
-    def executed_batches(self) -> List[Tuple[int, ...]]:
-        """Request-id composition of every executed batch
-        (``record_batches=True`` only)."""
-        if not self._record:
-            raise RuntimeError("engine was created with record_batches=False")
-        with self._cond:
-            return list(self._batches)
+                    if not self._queue:
+                        break
+                self._run_batch(self._collect_batch())
+        self._settle_leftovers(draining)
 
     # ------------------------------------------------------------------
     # Worker side
@@ -718,15 +842,12 @@ class InferenceEngine:
             self._worker_loop()
         except BaseException as death:
             # Real crash or injected chaos kill: flag the death and wake
-            # every waiter (drain(), submitters, the pool supervisor)
-            # before the thread unwinds. Nothing is cleaned up here —
-            # stranded requests are exactly the point. Injected kills
-            # stop at the flag (the death is deliberate); anything else
-            # re-raises into the thread excepthook so real bugs stay
-            # loud.
-            with self._cond:
-                self._crashed = True
-                self._cond.notify_all()
+            # every waiter (drain(), the pool supervisor) before the
+            # thread unwinds. Nothing is cleaned up here — stranded
+            # requests are exactly the point. Injected kills stop at the
+            # flag (the death is deliberate); anything else re-raises
+            # into the thread excepthook so real bugs stay loud.
+            self._note_exit()
             if not isinstance(death, _InjectedCrash):
                 raise
 
@@ -741,39 +862,23 @@ class InferenceEngine:
                 while not self._queue and not self._closing:
                     self._cond.wait()
                     self._check_kill_locked()
-                if not self._queue:  # closing with an empty queue
-                    break
-                if self._closing and not self._drain_on_close:
-                    while self._queue:
-                        request = self._queue.popleft()
-                        self._stats.cancelled += 1
-                        request.pending._finish(
-                            error=RequestCancelled(
-                                "engine closed before the request ran"
-                            )
-                        )
-                    # Wake drain() waiters: the queue just emptied and no
-                    # further batch completion will notify them.
-                    self._cond.notify_all()
+                # Closing: leave once the queue is empty, or at once when
+                # not draining (close() cancels what is left).
+                if not self._queue or not self._drain_on_close:
                     break
             self._run_batch(self._collect_batch())
-            with self._cond:
-                self._cond.notify_all()
 
     def _collect_batch(self) -> List[_QueuedRequest]:
         """Pop one batch: the head request plus everything arriving
         within the window, capped at ``max_batch_size``."""
         with self._cond:
             batch = [self._queue.popleft()]
-            self._current_batch = batch
-            self._in_flight = len(batch)
         deadline = time.monotonic() + self.batch_window_s
         while len(batch) < self.max_batch_size:
             with self._cond:
                 self._check_kill_locked()
                 if self._queue:
                     batch.append(self._queue.popleft())
-                    self._in_flight = len(batch)
                     continue
                 if self._closing:
                     break
@@ -784,52 +889,5 @@ class InferenceEngine:
         return batch
 
     def _run_batch(self, batch: List[_QueuedRequest]) -> None:
-        started = time.monotonic()
-        outputs = None
-        error: Optional[BaseException] = None
-        try:
-            inputs = np.stack([request.x for request in batch])
-            with no_grad():
-                outputs = self._model(Tensor(inputs)).data
-        except Exception as exc:  # answer the whole batch with the failure
-            error = exc
-        finished = time.monotonic()
-        service_s = finished - started
-        latencies = [finished - request.enqueued_at for request in batch]
-        # Answer the requests before announcing completion: a drain()
-        # waiter woken by the notify below must observe finished futures.
-        for index, request in enumerate(batch):
-            if error is not None:
-                request.pending._finish(
-                    error=error, latency_s=latencies[index], service_s=service_s
-                )
-            else:
-                request.pending._finish(
-                    value=outputs[index].copy(),
-                    latency_s=latencies[index],
-                    service_s=service_s,
-                )
-        with self._cond:
-            self._current_batch = []
-            if self._acc_probe is not None:
-                self._stats.acc_bits_used = max(
-                    self._stats.acc_bits_used, int(self._acc_probe())
-                )
-            self._stats.forwards += 1
-            self._stats.total_forward_s += finished - started
-            self._stats.max_batch_seen = max(self._stats.max_batch_seen, len(batch))
-            if len(batch) > 1:
-                self._stats.coalesced_forwards += 1
-                self._stats.batched_requests += len(batch)
-            if self._record:
-                self._batches.append(tuple(request.rid for request in batch))
-            if error is not None:
-                self._stats.errors += len(batch)
-            else:
-                self._stats.completed += len(batch)
-                for latency in latencies:
-                    self._stats.latencies_s.append(latency)
-                    self._stats.total_latency_s += latency
-                    self._stats.max_latency_s = max(self._stats.max_latency_s, latency)
-            self._in_flight = 0
-            self._cond.notify_all()
+        outcome = _forward_batch(self._model, [request.x for request in batch])
+        self._complete([request.rid for request in batch], *outcome)

@@ -492,10 +492,10 @@ class EnginePool:
                     slot = self._live[self._next % len(self._live)]
                     self._next += 1
             if refused:
-                # Every live engine refused: a dead worker the
-                # supervisor has not swept yet (a process worker turns
-                # submits away once its pipe breaks). Sweep — and
-                # replace — here rather than strand the caller.
+                # Every live engine refused: a dead engine the
+                # supervisor has not swept yet turns submits away.
+                # Sweep — and replace — here rather than strand the
+                # caller.
                 swept = True
                 attempts = 0
                 self._sweep_deaths()

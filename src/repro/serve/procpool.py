@@ -31,35 +31,38 @@ Three design points carry the module:
   beyond the struct header, and both ends stay bit-exact because the
   bytes on the wire *are* the array bytes the models see.
 
-* **Parent-side accounting.** :class:`ProcessWorkerHandle` duck-types
-  the thread engine, and its executed-batch records live parent-side
+* **Parent-side accounting.** :class:`ProcessWorkerHandle` is the
+  thread engine's core (admission, the outstanding-request table,
+  batch accounting, ``drain``, orphan hand-off) with a pipe where the
+  worker thread would be. Its executed-batch records live parent-side
   (derived from the answer stream), so a dead worker's batches remain
   replayable and :func:`~repro.serve.replay.verify_replay` still
   reaches full coverage after a mid-replay kill: the parent holds a
   bit-identical lease clone of every worker's model, and artifact
   reconstruction is deterministic, so the parent can replay
-  worker-served batches bit-exactly.
+  worker-served batches bit-exactly. The worker collects batches by
+  the thread engine's rules and runs them through the same forward
+  helper.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import struct
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.serve.artifact import ServingArtifact, SharedArtifactSegment
 from repro.serve.engine import (
-    EngineClosed,
-    EngineDied,
-    QueueFull,
-    RequestCancelled,
-    ServeStats,
     ShutdownTimeout,
+    _EngineCore,
+    _forward_batch,
     _model_input_dtype,
     _QueuedRequest,
 )
@@ -93,12 +96,26 @@ def _encode_predict(rid: int, array: np.ndarray) -> bytes:
     )
 
 
-def _decode_predict(frame, dtype: np.dtype) -> Tuple[int, np.ndarray]:
-    rid, ndim = struct.unpack_from("<QB", frame, 1)
-    shape = struct.unpack_from(f"<{ndim}I", frame, struct.calcsize(_PREDICT_HEAD))
-    offset = struct.calcsize(_PREDICT_HEAD) + 4 * ndim
-    x = np.frombuffer(frame, dtype=dtype, offset=offset).reshape(shape)
-    return int(rid), x
+def _decode_predict(frame, dtype: np.dtype, offset: int = 0) -> Tuple[int, np.ndarray]:
+    """One request frame starting at ``offset`` (a zero-copy view)."""
+    rid, ndim = struct.unpack_from("<QB", frame, offset + 1)
+    offset += struct.calcsize(_PREDICT_HEAD)
+    shape = struct.unpack_from(f"<{ndim}I", frame, offset)
+    count = math.prod(shape)
+    x = np.frombuffer(frame, dtype=dtype, count=count, offset=offset + 4 * ndim)
+    return int(rid), x.reshape(shape)
+
+
+def _decode_predicts(message, dtype: np.dtype) -> List[Tuple[int, np.ndarray]]:
+    """Every request frame in one message: a handle ships the frames it
+    held before ``start()`` concatenated, in submit order."""
+    requests = []
+    offset = 0
+    while offset < len(message):
+        rid, x = _decode_predict(message, dtype, offset)
+        requests.append((rid, x))
+        offset += struct.calcsize(_PREDICT_HEAD) + 4 * x.ndim + x.nbytes
+    return requests
 
 
 def _encode_batch(
@@ -163,13 +180,13 @@ def _pool_worker_main(
     """Worker entry point: map the artifact, build, serve the pipe.
 
     Single-threaded by design — the pipe is the queue (FIFO, so batch
-    composition is deterministic given arrival order) and the window
-    logic mirrors the thread engine's ``_collect_batch``: the head
-    request waits up to ``batch_window_s`` for company, capped at
-    ``max_batch_size``, and the window never delays a full batch.
+    composition is deterministic given arrival order). Batch
+    collection follows the thread engine's rules: the head request
+    waits up to ``batch_window_s`` for company, capped at
+    ``max_batch_size``; requests already received join the open batch
+    even once the window has passed, and the window never delays a
+    full batch. Batches run through the engine's ``_forward_batch``.
     """
-    from repro.tensor.tensor import Tensor, no_grad
-
     try:
         segment = SharedArtifactSegment.attach(shm_name, shm_nbytes, untrack=untrack)
         artifact = segment.load()
@@ -181,9 +198,8 @@ def _pool_worker_main(
         # Freshly parsed artifact: this process is the prototype's sole
         # user, so it serves directly (no clone). build_serving_model
         # already leaves it in eval mode.
-        model = artifact.model_for(backend)
+        model = artifact.integer_model() if backend == "integer" else artifact.model()
         dtype = _model_input_dtype(model)
-        acc_probe = getattr(model, "max_acc_bits", None)
         conn.send_bytes(
             struct.pack("<BB", _MSG_READY, len(dtype.str)) + dtype.str.encode("ascii")
         )
@@ -195,57 +211,43 @@ def _pool_worker_main(
             pass
         return
 
+    received: Deque[Tuple[int, np.ndarray]] = deque()  # not yet in a batch
     closing = False
-    while not closing:
-        try:
-            frame = conn.recv_bytes()
-        except EOFError:
-            return  # parent vanished; nothing to answer
-        if frame[0] == _OP_CLOSE:
-            break
-        batch = [_decode_predict(frame, dtype)]
-        deadline = time.monotonic() + batch_window_s
-        while len(batch) < max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not conn.poll(remaining):
-                break
-            try:
+    try:
+        while received or not closing:
+            if not received:
                 frame = conn.recv_bytes()
-            except EOFError:
-                return
-            if frame[0] == _OP_CLOSE:
-                closing = True  # answer the open batch, then leave
-                break
-            batch.append(_decode_predict(frame, dtype))
-
-        started = time.monotonic()
-        outputs = None
-        error: Optional[str] = None
-        try:
-            inputs = np.stack([x for _rid, x in batch])
-            with no_grad():
-                outputs = model(Tensor(inputs)).data
-        except Exception as exc:  # answer the whole batch with the failure
-            error = f"{type(exc).__name__}: {exc}"
-        service_s = time.monotonic() - started
-        acc_bits = int(acc_probe()) if acc_probe is not None else 0
-        try:
+                if frame[0] == _OP_CLOSE:
+                    break
+                received.extend(_decode_predicts(frame, dtype))
+            batch = [received.popleft()]
+            deadline = time.monotonic() + batch_window_s
+            while len(batch) < max_batch_size:
+                if not received:
+                    if closing or not conn.poll(max(0.0, deadline - time.monotonic())):
+                        break
+                    frame = conn.recv_bytes()
+                    if frame[0] == _OP_CLOSE:
+                        closing = True  # answer what came before it, then leave
+                        break
+                    received.extend(_decode_predicts(frame, dtype))
+                batch.append(received.popleft())
+            outputs, error, service_s, acc_bits = _forward_batch(
+                model, [x for _rid, x in batch]
+            )
             conn.send_bytes(
                 _encode_batch(
                     [rid for rid, _x in batch],
                     service_s,
                     acc_bits,
                     outputs=outputs,
-                    error=error,
+                    error=None if error is None else f"{type(error).__name__}: {error}",
                 )
             )
-        except (BrokenPipeError, OSError):
-            return
-    try:
         conn.send_bytes(struct.pack("<B", _MSG_CLOSED))
         conn.close()
-    except (BrokenPipeError, OSError):
-        pass
+    except (EOFError, BrokenPipeError, OSError):
+        return  # parent vanished; nothing to answer
     # Drop the artifact's view of the mapping before detaching, so the
     # segment close is clean rather than suppressed by live exports.
     model = None
@@ -254,19 +256,20 @@ def _pool_worker_main(
 
 
 # ----------------------------------------------------------------------
-# Parent-side worker handle (duck-types the engine surface)
+# Parent-side worker handle
 # ----------------------------------------------------------------------
-class ProcessWorkerHandle:
-    """Parent-side handle to one worker process, engine-duck-typed.
+class ProcessWorkerHandle(_EngineCore):
+    """Parent-side handle to one worker process.
 
-    Exposes exactly the surface :class:`~repro.serve.pool.EnginePool`
-    and :class:`~repro.serve.session.ServingSession` consume from an
-    engine — ``submit``/``adopt``/``drain``/``close``/``kill``/
-    ``stats``/``queue_depth``/``worker_died``/``take_orphans``/
-    ``executed_batches``/``annotate_artifact`` — with all accounting
-    parent-side: stats, latencies and executed-batch records are
-    derived from the answer stream, so they survive the worker's death
-    (a killed worker's batches must stay replayable for parity).
+    Admission, the outstanding-request table, batch accounting,
+    ``drain``, orphan hand-off and the settling of leftovers are the
+    engine core's, shared with :class:`~repro.serve.engine.InferenceEngine`.
+    This class adds the pipe, the request frames held until
+    :meth:`start`, the reader thread that turns ``BATCH`` frames into
+    answers, and the process lifecycle. Accounting stays parent-side,
+    derived from the answer stream, so stats, latencies and
+    executed-batch records survive the worker's death (a killed
+    worker's batches must stay replayable for parity).
     """
 
     def __init__(
@@ -278,26 +281,17 @@ class ProcessWorkerHandle:
         record_batches: bool = False,
         max_pending: Optional[int] = None,
     ):
+        super().__init__(input_dtype, backend, record_batches, max_pending)
         self.process = process
         self.conn = conn
-        self.input_dtype = np.dtype(input_dtype)
-        self.max_pending = None if max_pending is None else int(max_pending)
-        self._record = bool(record_batches)  # immutable after construction
-        self._cond = threading.Condition()
-        self._outstanding: Dict[int, _QueuedRequest] = {}  # guarded-by: _cond
-        self._stats = ServeStats(backend=backend)  # guarded-by: _cond
-        self._batches: List[Tuple[int, ...]] = []  # guarded-by: _cond
-        self._next_id = 0  # guarded-by: _cond
-        self._closing = False  # guarded-by: _cond
-        self._crashed = False  # guarded-by: _cond
         self._close_sent = False  # guarded-by: _cond
         # The wire lock serializes writers on the pipe; never taken
-        # while holding _cond's lock (submit updates state first, then
-        # sends), so a blocked pipe cannot wedge the stats readers.
+        # while holding _cond (admission updates state first, then
+        # ships), so a blocked pipe cannot wedge the reader.
         self._wire_lock = threading.Lock()
-        # Until start(), request frames wait here instead of on the pipe.
-        self._started = False  # guarded-by: _wire_lock
-        self._held: List[bytes] = []  # guarded-by: _wire_lock
+        # Until start(), request frames wait here instead of on the
+        # pipe; None once started.
+        self._held: Optional[List[bytes]] = []  # guarded-by: _wire_lock
         self._reader = threading.Thread(
             target=self._read_loop,
             name=f"repro-serve-proc-reader-{process.pid}",
@@ -307,25 +301,20 @@ class ProcessWorkerHandle:
 
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
-        """Ship the frames held since construction, in submit order,
-        and send every later one straight away (idempotent). Until then
-        the worker idles, so requests queued before a pool's start()
-        coalesce deterministically, as in the thread engine."""
+        """Ship the frames held since construction, in submit order and
+        as one message, and send every later one straight away
+        (idempotent). Until then the worker idles; the held backlog
+        then reaches it all at once and coalesces into full batches, as
+        the thread engine's queue does."""
+        with self._cond:
+            self._started = True
         try:
             with self._wire_lock:
-                if self._started:
-                    return
-                self._started = True
-                held, self._held = self._held, []
-                for frame in held:
-                    self.conn.send_bytes(frame)
+                held, self._held = self._held, None
+                if held:
+                    self.conn.send_bytes(b"".join(held))
         except (BrokenPipeError, OSError):
-            self._note_broken_pipe()
-
-    @property
-    def started(self) -> bool:
-        with self._wire_lock:
-            return self._started
+            pass  # the reader sees EOF and marks the worker dead
 
     def kill(self) -> None:
         """Chaos hook: SIGKILL the worker process.
@@ -337,178 +326,44 @@ class ProcessWorkerHandle:
         """
         os.kill(self.process.pid, signal.SIGKILL)
 
-    @property
-    def worker_died(self) -> bool:
-        """True once the worker process died without closing."""
-        with self._cond:
-            return self._crashed
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests submitted and not yet answered."""
-        with self._cond:
-            return len(self._outstanding)
-
-    # -- request side ---------------------------------------------------
-    def submit(self, x):
-        array = np.ascontiguousarray(x, dtype=self.input_dtype)
-        with self._cond:
-            if self._closing or self._crashed:
-                raise EngineClosed("worker process is closed")
-            if (
-                self.max_pending is not None
-                and len(self._outstanding) >= self.max_pending
-            ):
-                self._stats.rejected += 1
-                raise QueueFull(
-                    f"worker has {len(self._outstanding)} requests pending "
-                    f"(max_pending={self.max_pending}); retry later"
-                )
-            request = _QueuedRequest(self._next_id, array, time.monotonic())
-            self._next_id += 1
-            self._outstanding[request.rid] = request
-            self._stats.requests += 1
-            self._stats.max_queue_depth = max(
-                self._stats.max_queue_depth, len(self._outstanding)
-            )
-        self._send_request(request)
-        return request.pending
-
-    def adopt(self, request: _QueuedRequest) -> None:
-        """Enqueue an orphan from a dead worker (fresh local rid; the
-        pending handle is remapped; ``max_pending`` is bypassed — the
-        request was already admitted once)."""
-        with self._cond:
-            if self._closing or self._crashed:
-                raise EngineClosed("worker process is closed")
-            request.rid = self._next_id
-            request.pending.request_id = request.rid
-            self._next_id += 1
-            self._outstanding[request.rid] = request
-            self._stats.requests += 1
-            self._stats.max_queue_depth = max(
-                self._stats.max_queue_depth, len(self._outstanding)
-            )
-        self._send_request(request)
-
-    def _send_request(self, request: _QueuedRequest) -> None:
-        """Ship one framed request; a broken pipe marks the worker dead
-        (the request stays in ``_outstanding`` for the supervisor's
-        orphan rescue — it is never silently lost)."""
+    # -- request and answer sides ---------------------------------------
+    def _ship(self, request: _QueuedRequest) -> None:
         frame = _encode_predict(request.rid, request.x)
         try:
             with self._wire_lock:
-                if not self._started:
+                if self._held is not None:
                     self._held.append(frame)
-                    return
-                self.conn.send_bytes(frame)
+                else:
+                    self.conn.send_bytes(frame)
         except (BrokenPipeError, OSError):
-            self._note_broken_pipe()
+            # The request stays outstanding: the reader sees EOF and
+            # marks the worker dead, and the supervisor rescues it.
+            pass
 
-    def _note_broken_pipe(self) -> None:
-        with self._cond:
-            if not self._closing:
-                self._crashed = True
-            self._cond.notify_all()
-
-    def predict(self, x, timeout: Optional[float] = None) -> np.ndarray:
-        return self.submit(x).result(timeout)
-
-    def drain(self, timeout: Optional[float] = None) -> None:
-        """Block until every submitted request has been answered."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._outstanding:
-                if self._crashed:
-                    raise EngineDied(
-                        "worker process died with requests outstanding; "
-                        "they will never drain"
-                    )
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError("drain() timed out")
-                self._cond.wait(remaining)
-
-    def take_orphans(self) -> List[_QueuedRequest]:
-        """Strip every unanswered request off a dead worker (rid order)
-        and mark the handle closing. Mirrors the thread engine: the
-        orphans keep their ``enqueued_at`` and leave this worker's
-        ``requests`` count (the adopter counts them afresh)."""
-        with self._cond:
-            self._closing = True
-            orphans = [self._outstanding[rid] for rid in sorted(self._outstanding)]
-            self._outstanding.clear()
-            self._stats.requests -= len(orphans)
-            self._cond.notify_all()
-        return orphans
-
-    # -- answer side ----------------------------------------------------
     def _read_loop(self) -> None:
-        while True:
-            try:
-                frame = self.conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            op = frame[0]
-            if op == _MSG_BATCH:
-                self._handle_batch(frame)
-            elif op == _MSG_CLOSED:
-                break  # graceful exit: the worker sends nothing more
-        with self._cond:
-            if not self._closing:
-                self._crashed = True
-            self._cond.notify_all()
-
-    def _handle_batch(self, frame) -> None:
-        service_s, acc_bits, rids, outputs, error = _decode_batch(frame)
-        finished = time.monotonic()
-        answered: List[Tuple[_QueuedRequest, int]] = []
-        with self._cond:
-            for position, rid in enumerate(rids):
-                request = self._outstanding.pop(rid, None)
-                if request is not None:  # None: cancelled under the worker
-                    answered.append((request, position))
-            self._stats.forwards += 1
-            self._stats.total_forward_s += service_s
-            self._stats.max_batch_seen = max(self._stats.max_batch_seen, len(rids))
-            self._stats.acc_bits_used = max(self._stats.acc_bits_used, acc_bits)
-            if len(rids) > 1:
-                self._stats.coalesced_forwards += 1
-                self._stats.batched_requests += len(rids)
-            if self._record:
-                self._batches.append(tuple(rids))
-            if error is not None:
-                self._stats.errors += len(answered)
-            else:
-                self._stats.completed += len(answered)
-                for request, _position in answered:
-                    latency = finished - request.enqueued_at
-                    self._stats.latencies_s.append(latency)
-                    self._stats.total_latency_s += latency
-                    self._stats.max_latency_s = max(self._stats.max_latency_s, latency)
-        # Answer outside the lock, before notifying drain() waiters.
-        for request, position in answered:
-            latency = finished - request.enqueued_at
-            if error is not None:
-                request.pending._finish(
-                    error=RuntimeError(f"worker forward failed: {error}"),
-                    latency_s=latency,
-                    service_s=service_s,
-                )
-            else:
-                request.pending._finish(
-                    value=outputs[position].copy(),
-                    latency_s=latency,
-                    service_s=service_s,
-                )
-        with self._cond:
-            self._cond.notify_all()
+        try:
+            while True:
+                try:
+                    frame = self.conn.recv_bytes()
+                except (EOFError, OSError):
+                    return
+                if frame[0] == _MSG_CLOSED:
+                    return  # graceful exit: the worker sends nothing more
+                if frame[0] == _MSG_BATCH:
+                    service_s, acc_bits, rids, outputs, error = _decode_batch(frame)
+                    if error is not None:
+                        error = RuntimeError(f"worker forward failed: {error}")
+                    self._complete(rids, outputs, error, service_s, acc_bits)
+        finally:
+            # Any exit outside a close is a death — EOF and a failure
+            # while handling a frame alike. A worker whose answers can
+            # no longer be read must not outlive its reader.
+            if self._note_exit():
+                self.process.kill()
 
     # -- shutdown -------------------------------------------------------
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Shut the worker down; mirrors the thread engine's contract.
+        """Shut the worker down; the thread engine's contract.
 
         ``drain=True`` sends the close frame — the worker answers every
         request already on the pipe (FIFO guarantees nothing is
@@ -521,10 +376,8 @@ class ProcessWorkerHandle:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             self._closing = True
-            crashed = self._crashed
-            send_close = drain and not self._close_sent and not crashed
-            if send_close:
-                self._close_sent = True
+            send_close = drain and not self._close_sent and not self._crashed
+            self._close_sent = self._close_sent or send_close
         if send_close:
             self.start()  # a never-started worker answers its held frames too
             try:
@@ -553,56 +406,7 @@ class ProcessWorkerHandle:
             self.conn.close()
         except OSError:
             pass
-        # Settle whatever the worker never answered: cancellations for
-        # a non-draining close, loud EngineDied for a crashed worker —
-        # closing a dead worker must not turn into a silent drop.
-        with self._cond:
-            leftovers = [self._outstanding[rid] for rid in sorted(self._outstanding)]
-            self._outstanding.clear()
-            if drain:
-                self._stats.errors += len(leftovers)
-            else:
-                self._stats.cancelled += len(leftovers)
-            self._cond.notify_all()
-        for request in leftovers:
-            if drain:
-                request.pending._finish(
-                    error=EngineDied(
-                        "worker process died before answering this request"
-                    )
-                )
-            else:
-                request.pending._finish(
-                    error=RequestCancelled("worker closed before the request ran")
-                )
-
-    def __enter__(self) -> "ProcessWorkerHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    # -- introspection --------------------------------------------------
-    @property
-    def stats(self) -> ServeStats:
-        with self._cond:
-            return self._stats.snapshot()
-
-    def annotate_artifact(
-        self, nbytes: int, payload_nbytes: int, sidecar_nbytes: int
-    ) -> None:
-        with self._cond:
-            self._stats.artifact_nbytes = int(nbytes)
-            self._stats.payload_nbytes = int(payload_nbytes)
-            self._stats.sidecar_nbytes = int(sidecar_nbytes)
-
-    def executed_batches(self) -> List[Tuple[int, ...]]:
-        if not self._record:
-            raise RuntimeError("worker was created with record_batches=False")
-        with self._cond:
-            return list(self._batches)
-
-
+        self._settle_leftovers(drain)
 
 
 # ----------------------------------------------------------------------

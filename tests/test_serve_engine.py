@@ -328,8 +328,8 @@ class TestAdmission:
         deadline = time.monotonic() + 5.0
         saw_inflight_rejection = False
         while time.monotonic() < deadline:
-            with engine._cond:
-                in_flight = engine._in_flight
+            with engine._cond:  # outstanding, but popped off the queue
+                in_flight = len(engine._outstanding) - len(engine._queue)
             if in_flight:
                 # The queue is empty (the worker popped the request) but
                 # the budget is still spent until the answer lands.
@@ -496,6 +496,18 @@ class TestChaosPrimitives:
                 raise AssertionError("killed worker did not die in time")
             time.sleep(0.005)
 
+    def kill_with_rows(self, rows, model=None):
+        """A dead engine stranding ``rows``: they are submitted while
+        the worker holds them in a long batch window, and the kill lands
+        there, before any forward runs."""
+        engine = InferenceEngine(
+            model or make_toy_model(), batch_window_s=10.0, max_batch_size=16
+        )
+        pendings = [engine.submit(x) for x in rows]
+        engine.kill()
+        self.wait_for_death(engine)
+        return engine, pendings
+
     def test_kill_before_start_raises(self):
         engine = InferenceEngine(make_toy_model(), autostart=False)
         with pytest.raises(EngineClosed):
@@ -511,11 +523,12 @@ class TestChaosPrimitives:
     def test_drain_on_dead_engine_raises(self):
         from repro.serve import EngineDied
 
-        engine = InferenceEngine(make_toy_model())
-        engine.kill()
-        self.wait_for_death(engine)
-        engine.drain(timeout=10)  # nothing outstanding: trivially drained
-        pending = engine.submit(np.zeros(3))
+        idle = InferenceEngine(make_toy_model())
+        idle.kill()
+        self.wait_for_death(idle)
+        idle.drain(timeout=10)  # nothing outstanding: trivially drained
+        idle.close()
+        engine, (pending,) = self.kill_with_rows([np.zeros(3)])
         with pytest.raises(EngineDied, match="never drain"):
             engine.drain(timeout=10)
         engine.close()
@@ -523,12 +536,10 @@ class TestChaosPrimitives:
             pending.result(timeout=10)
 
     def test_take_orphans_returns_unanswered_queue(self):
-        engine = InferenceEngine(make_toy_model())
-        engine.kill()
-        self.wait_for_death(engine)
-        # A dead-but-unswept engine still accepts submits: they queue
-        # behind a worker that will never run.
-        pendings = [engine.submit(np.zeros(3)) for _ in range(4)]
+        engine, pendings = self.kill_with_rows([np.zeros(3)] * 4)
+        # A dead engine turns new work away; what it held stays put.
+        with pytest.raises(EngineClosed):
+            engine.submit(np.zeros(3))
         assert engine.queue_depth == 4
         orphans = engine.take_orphans()
         assert len(orphans) == 4
@@ -541,11 +552,8 @@ class TestChaosPrimitives:
 
     def test_adopt_remaps_request_identity(self):
         model = make_toy_model()
-        dead = InferenceEngine(model)
-        dead.kill()
-        self.wait_for_death(dead)
         x = np.array([1.0, 2.0, 3.0])
-        pending = dead.submit(x)
+        dead, (pending,) = self.kill_with_rows([x], model)
         (orphan,) = dead.take_orphans()
         with InferenceEngine(model) as rescue:
             filler = rescue.submit(np.zeros(3))  # desynchronise the rid counters
@@ -563,10 +571,7 @@ class TestChaosPrimitives:
     def test_close_answers_orphans_loudly(self):
         from repro.serve import EngineDied
 
-        engine = InferenceEngine(make_toy_model())
-        engine.kill()
-        self.wait_for_death(engine)
-        pending = engine.submit(np.zeros(3))
+        engine, (pending,) = self.kill_with_rows([np.zeros(3)])
         engine.close()
         with pytest.raises(EngineDied, match="died before answering"):
             pending.result(timeout=10)

@@ -57,6 +57,23 @@ def leased_pool(artifact, cache, policy, autostart=True, **engine_kwargs) -> Eng
     return EnginePool(placement, policy, autostart=autostart)
 
 
+def strand_on_killed_engine(pool, inputs):
+    """Submit ``inputs`` to the pool's one live engine while its worker
+    holds them in a long batch window, then kill it there: every row
+    becomes an orphan of a dead, unswept engine (a dead engine turns
+    new submits away, so the rows must land before the kill)."""
+    (engine,) = pool.engines
+    engine.batch_window_s = 10.0  # replacements keep the placement's window
+    pendings = [pool.submit(x) for x in inputs]
+    assert pool.chaos_kill() == 0
+    deadline = time.monotonic() + 5.0
+    while not engine.worker_died:
+        if time.monotonic() > deadline:
+            raise AssertionError("killed worker did not die in time")
+        time.sleep(0.005)
+    return pendings
+
+
 class TestPoolBasics:
     def test_needs_models(self):
         with pytest.raises(ValueError, match="at least one model"):
@@ -383,13 +400,6 @@ class TestAutoscalingPool:
 
 
 class TestChaosKill:
-    def wait_for_death(self, engine, timeout_s: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout_s
-        while not engine.worker_died:
-            if time.monotonic() > deadline:
-                raise AssertionError("killed worker did not die in time")
-            time.sleep(0.005)
-
     def test_killed_engine_is_replaced_and_requests_redispatched(
         self, mlp_artifact
     ):
@@ -402,13 +412,10 @@ class TestChaosKill:
             mlp_artifact, cache, policy,
             batch_window_s=0.0, record_batches=True,
         )
-        killed = pool.chaos_kill()
-        assert killed == 0
-        self.wait_for_death(pool.engines[0])
-        # The dead engine is still in the rotation (the supervisor is
-        # inert): these requests land on its queue and become orphans.
+        # The supervisor is inert: the dead engine stays in the rotation
+        # with its requests stranded until the sweep below.
         inputs = np.random.default_rng(0).standard_normal((6, 3, 8, 8))
-        pendings = [pool.submit(x) for x in inputs]
+        pendings = strand_on_killed_engine(pool, inputs)
         pool._sweep_deaths()
         outputs = [pending.result(timeout=10) for pending in pendings]
         # Identity read after completion: the replacement answered.
@@ -455,9 +462,7 @@ class TestChaosKill:
         pool = leased_pool(
             mlp_artifact, cache, policy, batch_window_s=0.0
         )
-        pool.chaos_kill()
-        self.wait_for_death(pool.engines[0])
-        pendings = [pool.submit(np.zeros((3, 8, 8))) for _ in range(3)]
+        pendings = strand_on_killed_engine(pool, [np.zeros((3, 8, 8))] * 3)
 
         def refusing_lease(source, backend="float"):
             raise RuntimeError("cache shut down")
@@ -478,9 +483,7 @@ class TestChaosKill:
         pool = leased_pool(
             mlp_artifact, cache, policy, batch_window_s=0.0
         )
-        pool.chaos_kill()
-        self.wait_for_death(pool.engines[0])
-        pool.submit(np.zeros((3, 8, 8)))  # stranded until the sweep
+        strand_on_killed_engine(pool, [np.zeros((3, 8, 8))])  # until the sweep
         with pytest.raises(EngineDied, match="never drain"):
             pool.drain(timeout=5)
         pool._sweep_deaths()
@@ -492,13 +495,6 @@ class TestIntegerBackendPool:
     """The integer backend under autoscaling: scale-ups and chaos-kill
     replacements lease integer clones, and re-dispatched requests get
     integer answers bit-identical to an undisturbed integer engine's."""
-
-    def wait_for_death(self, engine, timeout_s: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout_s
-        while not engine.worker_died:
-            if time.monotonic() > deadline:
-                raise AssertionError("killed worker did not die in time")
-            time.sleep(0.005)
 
     @pytest.fixture
     def act_artifact(self, quantized_mlp_factory):
@@ -543,11 +539,8 @@ class TestIntegerBackendPool:
             act_artifact, cache, policy,
             batch_window_s=0.0, record_batches=True, backend="integer",
         )
-        killed = pool.chaos_kill()
-        assert killed == 0
-        self.wait_for_death(pool.engines[0])
         inputs = np.random.default_rng(4).standard_normal((6, 3, 8, 8))
-        pendings = [pool.submit(x) for x in inputs]
+        pendings = strand_on_killed_engine(pool, inputs)
         pool._sweep_deaths()
         outputs = np.stack([pending.result(timeout=10) for pending in pendings])
         assert {pending.engine_index for pending in pendings} == {1}

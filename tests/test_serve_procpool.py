@@ -12,19 +12,24 @@ import time
 import numpy as np
 import pytest
 
+from repro.nn.module import Module
 from repro.serve import (
     ArtifactCache,
     AutoscalePolicy,
     EnginePool,
+    InferenceEngine,
+    PendingPrediction,
     ProcessPlacement,
     ReplayRun,
     ServeConfig,
     ServingSession,
     SharedArtifactSegment,
+    ThreadPlacement,
     compile_artifact,
     resolve_policy,
     verify_replay,
 )
+from repro.serve import procpool
 from repro.serve.procpool import (
     _decode_batch,
     _decode_predict,
@@ -56,6 +61,14 @@ def process_pool(
     placement = ProcessPlacement(artifact, cache, **worker_kwargs)
     if policy is None:
         policy = AutoscalePolicy(min_engines=workers, max_engines=workers)
+    return EnginePool(placement, policy, autostart=autostart)
+
+
+def placement_pool(kind, artifact, cache, autostart=True, **engine_kwargs) -> EnginePool:
+    """A one-engine pool of either placement over ``artifact``."""
+    placement_type = ProcessPlacement if kind == "process" else ThreadPlacement
+    placement = placement_type(artifact, cache, **engine_kwargs)
+    policy = AutoscalePolicy(min_engines=1, max_engines=1)
     return EnginePool(placement, policy, autostart=autostart)
 
 
@@ -539,3 +552,137 @@ class TestSessionProcessPool:
             # The one EnginePool: the same scaling report as every
             # other placement.
             assert session.pool.describe_scaling()["placement"] == "process"
+
+
+# ----------------------------------------------------------------------
+# one engine core: both placements admit, batch, account and drain alike
+# ----------------------------------------------------------------------
+class GatedModel(Module):
+    """Identity whose forward blocks until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def forward(self, x):
+        self.entered.set()
+        self.release.wait(10)
+        return x
+
+
+@pytest.mark.parametrize("kind", ["thread", "process"])
+class TestOneEngineCore:
+    def test_zero_window_coalesces_held_rows(self, mlp_artifact, kind):
+        """Rows queued before start() coalesce into full batches even
+        with no window: rows already received join the open batch."""
+        cache = ArtifactCache()
+        pool = placement_pool(
+            kind, mlp_artifact, cache, autostart=False,
+            batch_window_s=0.0, max_batch_size=4, record_batches=True,
+        )
+        try:
+            inputs = np.random.default_rng(12).standard_normal((10, 3, 8, 8))
+            pendings = [pool.submit(x) for x in inputs]
+            pool.start()
+            pool.drain(timeout=30)
+            (engine,) = pool.engines
+            assert [len(batch) for batch in engine.executed_batches()] == [4, 4, 2]
+            run = ReplayRun(
+                payload={},
+                outputs=np.stack([p.result(timeout=30) for p in pendings]),
+                request_ids=[p.request_id for p in pendings],
+                engine_indices=[p.engine_index for p in pendings],
+            )
+            assert verify_replay(PoolSession(pool), inputs, run, expected=10) == 10
+        finally:
+            pool.close(drain=True, timeout=30)
+
+    def test_drain_returns_after_answers_are_delivered(
+        self, mlp_artifact, kind, monkeypatch
+    ):
+        """A slow answer delivery keeps drain() waiting: rows leave the
+        outstanding table only once their futures are resolved."""
+        entered = threading.Event()
+        finish = PendingPrediction._finish
+
+        def slow_finish(self, *args, **kwargs):
+            entered.set()
+            time.sleep(0.3)
+            finish(self, *args, **kwargs)
+
+        monkeypatch.setattr(PendingPrediction, "_finish", slow_finish)
+        cache = ArtifactCache()
+        pool = placement_pool(kind, mlp_artifact, cache, batch_window_s=0.0)
+        try:
+            pending = pool.submit(np.zeros((3, 8, 8)))
+            assert entered.wait(30)
+            pool.drain(timeout=30)
+            assert pending.done()
+        finally:
+            pool.close(drain=True, timeout=30)
+
+    def test_max_queue_depth_counts_outstanding_requests(self, mlp_artifact, kind):
+        """Seven rows admitted and unanswered read as depth 7 on both
+        placements. On threads, four of them are in flight in a gated
+        forward while three queue; on processes all seven are held
+        before start()."""
+        rows = [np.ones(3)] * 7 if kind == "thread" else [np.zeros((3, 8, 8))] * 7
+        if kind == "thread":
+            model = GatedModel()
+            engine = InferenceEngine(model, batch_window_s=0.0, max_batch_size=4)
+            pendings = [engine.submit(x) for x in rows[:4]]
+            assert model.entered.wait(10)
+            pendings += [engine.submit(x) for x in rows[4:]]
+            assert engine.queue_depth == 7
+            model.release.set()
+            engine.close(drain=True, timeout=30)
+            stats = engine.stats
+        else:
+            pool = placement_pool(
+                kind, mlp_artifact, ArtifactCache(), autostart=False,
+                batch_window_s=0.0, max_batch_size=4,
+            )
+            try:
+                pendings = [pool.submit(x) for x in rows]
+                assert pool.engines[0].queue_depth == 7
+                pool.start()
+                pool.drain(timeout=30)
+            finally:
+                pool.close(drain=True, timeout=30)
+            stats = pool.stats
+        assert all(pending.done() for pending in pendings)
+        assert stats.completed == 7 and stats.max_queue_depth == 7
+
+
+class TestReaderFailure:
+    def test_reader_failure_is_a_death_and_the_row_is_rescued(
+        self, mlp_artifact, monkeypatch
+    ):
+        """A pipe reader that fails while handling an answer marks its
+        worker dead: the supervisor replaces it and re-dispatches the
+        unanswered row, instead of leaving drain() to hang."""
+        calls = []
+
+        def decode_once_failing(frame):
+            calls.append(frame)
+            if len(calls) == 1:
+                raise ValueError("corrupt answer frame")
+            return _decode_batch(frame)
+
+        monkeypatch.setattr(procpool, "_decode_batch", decode_once_failing)
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        config = ServeConfig(pool="process", workers=1, batch_window_s=0.0)
+        with ServingSession(mlp_artifact, config=config) as session:
+            x = np.random.default_rng(13).standard_normal((3, 8, 8))
+            pending = session.submit(x)
+            served = pending.result(timeout=30)
+            session.drain(timeout=30)
+            assert pending.engine_index == 1  # answered by the replacement
+            assert session.stats.engine_deaths == 1
+        with no_grad():
+            local = mlp_artifact.model()(Tensor(x[None].astype(served.dtype))).data[0]
+        np.testing.assert_array_equal(served, local)
+        # The failure stays loud: the reader's exception reached the hook.
+        assert [type(error.exc_value) for error in errors] == [ValueError]
