@@ -164,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms",
         type=float,
         default=2.0,
-        help="micro-batching window (how long an open batch waits)",
+        help="micro-batching window: how long a batch formed from a backlog "
+        "waits to fill (a request reaching an idle engine runs at once)",
     )
     serve.add_argument("--max-batch", type=int, default=16, help="batch-size cap")
     serve.add_argument(
@@ -314,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-window-ms",
         type=float,
         default=2.0,
-        help="micro-batching window per artifact",
+        help="micro-batching window per artifact: how long a batch formed "
+        "from a backlog waits to fill (an idle engine runs at once)",
     )
     gateway.add_argument(
         "--max-batch", type=int, default=16, help="micro-batch size cap"

@@ -67,6 +67,9 @@ class ArtifactSpec:
     engines: int = 1
     autoscale: Optional[AutoscalePolicy] = None
     batch_window_s: float = 0.002
+    """How long a batch formed from a backlog waits to fill; a request
+    reaching an idle engine runs at once."""
+
     max_batch_size: int = 16
     record_batches: bool = False
     max_pending: Optional[int] = None

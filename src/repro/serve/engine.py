@@ -2,12 +2,14 @@
 
 :class:`InferenceEngine` owns a model and a thread-safe request queue
 drained by a single worker thread with **dynamic micro-batching**:
-requests arriving within ``batch_window_s`` of each other are coalesced
-(up to ``max_batch_size``) into one forward pass, amortizing the
-per-forward cost of the numpy stack across requests exactly the way the
-incremental evaluator amortizes it across search queries. Under
-saturation the window never delays anything — the worker only waits
-when the queue is empty and the open batch is not full.
+queued requests are coalesced (up to ``max_batch_size``) into one
+forward pass, amortizing the per-forward cost of the numpy stack across
+requests exactly the way the incremental evaluator amortizes it across
+search queries. Dispatch is work-conserving: a request that reaches an
+idle worker runs at once, with whatever else is already queued. Only a
+batch formed from a backlog — rows that were waiting when the worker
+came back from a forward — waits up to ``batch_window_s`` for more rows
+to fill it, and the window never delays a full batch.
 
 Correctness contract (the serving twin of the evaluator's bit-exact
 contract): a request's prediction is **bit-exact** with running the
@@ -715,8 +717,10 @@ class InferenceEngine(_EngineCore):
         The serving model (switched to ``eval()``; owned by the worker
         thread from then on).
     batch_window_s:
-        How long an open, non-full batch waits for more requests. ``0``
-        disables coalescing-by-waiting (queued requests still coalesce).
+        How long a non-full batch formed from a backlog waits for more
+        requests. A request that reaches an idle worker never waits.
+        ``0`` disables coalescing-by-waiting (queued requests still
+        coalesce).
     max_batch_size:
         Hard batch-size cap (``1`` = strictly sequential serving).
     record_batches:
@@ -781,8 +785,12 @@ class InferenceEngine(_EngineCore):
                 raise EngineClosed("engine is closed")
             if self._thread is not None:
                 return
+            # Rows queued before start() are a backlog the window fills.
             self._thread = threading.Thread(
-                target=self._worker, name="repro-serve-worker", daemon=True
+                target=self._worker,
+                args=(bool(self._queue),),
+                name="repro-serve-worker",
+                daemon=True,
             )
             self._thread.start()
             self._started = True
@@ -837,9 +845,9 @@ class InferenceEngine(_EngineCore):
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def _worker(self) -> None:
+    def _worker(self, backlog: bool) -> None:
         try:
-            self._worker_loop()
+            self._worker_loop(backlog)
         except BaseException as death:
             # Real crash or injected chaos kill: flag the death and wake
             # every waiter (drain(), the pool supervisor) before the
@@ -855,7 +863,11 @@ class InferenceEngine(_EngineCore):
         if self._kill:
             raise _InjectedCrash("chaos kill")
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, backlog: bool) -> None:
+        """Serve batches until closed. ``backlog`` says whether rows were
+        queued when the worker last came free (at start, then at the end
+        of each forward): only then does the window hold the batch open.
+        An idle worker runs a request at once."""
         while True:
             with self._cond:
                 self._check_kill_locked()
@@ -866,14 +878,16 @@ class InferenceEngine(_EngineCore):
                 # not draining (close() cancels what is left).
                 if not self._queue or not self._drain_on_close:
                     break
-            self._run_batch(self._collect_batch())
+            batch = self._collect_batch(self.batch_window_s if backlog else 0.0)
+            backlog = self._run_batch(batch)
 
-    def _collect_batch(self) -> List[_QueuedRequest]:
-        """Pop one batch: the head request plus everything arriving
-        within the window, capped at ``max_batch_size``."""
+    def _collect_batch(self, window_s: float = 0.0) -> List[_QueuedRequest]:
+        """Pop one batch: the head request, everything already queued,
+        and whatever arrives within ``window_s``, capped at
+        ``max_batch_size``."""
         with self._cond:
             batch = [self._queue.popleft()]
-        deadline = time.monotonic() + self.batch_window_s
+        deadline = time.monotonic() + window_s
         while len(batch) < self.max_batch_size:
             with self._cond:
                 self._check_kill_locked()
@@ -888,6 +902,12 @@ class InferenceEngine(_EngineCore):
                 self._cond.wait(remaining)
         return batch
 
-    def _run_batch(self, batch: List[_QueuedRequest]) -> None:
+    def _run_batch(self, batch: List[_QueuedRequest]) -> bool:
+        """Run and answer ``batch``; returns whether rows were queued
+        behind it when its forward ended (before any answer went out,
+        so a client's follow-up to its own answer is not a backlog)."""
         outcome = _forward_batch(self._model, [request.x for request in batch])
+        with self._cond:
+            backlog = bool(self._queue)
         self._complete([request.rid for request in batch], *outcome)
+        return backlog

@@ -181,11 +181,17 @@ def _pool_worker_main(
 
     Single-threaded by design — the pipe is the queue (FIFO, so batch
     composition is deterministic given arrival order). Batch
-    collection follows the thread engine's rules: the head request
-    waits up to ``batch_window_s`` for company, capped at
-    ``max_batch_size``; requests already received join the open batch
-    even once the window has passed, and the window never delays a
-    full batch. Batches run through the engine's ``_forward_batch``.
+    collection follows the thread engine's rules, capped at
+    ``max_batch_size``: a worker that was idle when a request arrived
+    runs it at once with whatever is already readable; one that
+    comes back from a forward to a backlog — rows received but not
+    batched, or a frame waiting on the pipe, which backs up during
+    every forward — waits up to ``batch_window_s`` for the batch to
+    fill. The rows a handle held until ``start()`` arrive as one
+    message and are a backlog too. Requests already received join the
+    open batch even once the window has passed, and the window never
+    delays a full batch.
+    Batches run through the engine's ``_forward_batch``.
     """
     try:
         segment = SharedArtifactSegment.attach(shm_name, shm_nbytes, untrack=untrack)
@@ -213,15 +219,20 @@ def _pool_worker_main(
 
     received: Deque[Tuple[int, np.ndarray]] = deque()  # not yet in a batch
     closing = False
+    backlog = False  # rows waiting when the worker last came free
     try:
         while received or not closing:
             if not received:
                 frame = conn.recv_bytes()
                 if frame[0] == _OP_CLOSE:
                     break
-                received.extend(_decode_predicts(frame, dtype))
+                requests = _decode_predicts(frame, dtype)
+                # Only start() ships several requests in one message: the
+                # rows its handle held, a backlog as on the thread engine.
+                backlog = backlog or len(requests) > 1
+                received.extend(requests)
             batch = [received.popleft()]
-            deadline = time.monotonic() + batch_window_s
+            deadline = time.monotonic() + (batch_window_s if backlog else 0.0)
             while len(batch) < max_batch_size:
                 if not received:
                     if closing or not conn.poll(max(0.0, deadline - time.monotonic())):
@@ -235,6 +246,9 @@ def _pool_worker_main(
             outputs, error, service_s, acc_bits = _forward_batch(
                 model, [x for _rid, x in batch]
             )
+            # Checked before the answer goes out, so a client's follow-up
+            # to it is not mistaken for a backlog.
+            backlog = bool(received) or conn.poll()
             conn.send_bytes(
                 _encode_batch(
                     [rid for rid, _x in batch],

@@ -81,6 +81,9 @@ class ServeConfig:
     """
 
     batch_window_s: float = 0.002
+    """How long a batch formed from a backlog waits to fill; a request
+    reaching an idle engine runs at once."""
+
     max_batch_size: int = 16
     record_batches: bool = False
     autostart: bool = True

@@ -377,15 +377,26 @@ class TestEndpoints:
 # Admission shed + graceful drain over HTTP
 # ----------------------------------------------------------------------
 class TestAdmissionOverHTTP:
-    def test_burst_sheds_429_with_zero_drops(self, mlp_artifact):
-        # A long batch window keeps admitted rows pending, so a burst
-        # past the 2-row budget must shed deterministically.
+    def test_burst_sheds_429_with_zero_drops(self, mlp_artifact, monkeypatch):
+        # The first forward holds until a row has been shed, so admitted
+        # rows stay pending and a burst past the 2-row budget must shed
+        # deterministically (an idle engine would answer a lone row at
+        # once, before the burst's later rows arrive).
         registry = ArtifactRegistry()
         registry.register(
             make_spec(mlp_artifact, pending_budget=2, retry_after_s=0.05,
                       batch_window_s=0.25, max_batch_size=2),
             preload=True,
         )
+        (engine,) = registry.session("mlp").engines
+        shed = threading.Event()
+        forward = engine._model.forward
+
+        def gated_forward(x):
+            shed.wait(10)
+            return forward(x)
+
+        monkeypatch.setattr(engine._model, "forward", gated_forward)
         server = GatewayServer(registry)
         server.start()
         try:
@@ -406,6 +417,7 @@ class TestAdmissionOverHTTP:
                             assert error.status == 429
                             assert error.code == "admission_rejected"
                             assert error.retry_after_s == 0.05
+                            shed.set()
                             time.sleep(error.retry_after_s)
 
             threads = [

@@ -497,13 +497,18 @@ class TestChaosPrimitives:
             time.sleep(0.005)
 
     def kill_with_rows(self, rows, model=None):
-        """A dead engine stranding ``rows``: they are submitted while
-        the worker holds them in a long batch window, and the kill lands
-        there, before any forward runs."""
+        """A dead engine stranding ``rows``: they are queued before the
+        worker starts, so it finds a backlog and holds it in a long
+        batch window, and the kill lands there, before any forward
+        runs."""
         engine = InferenceEngine(
-            model or make_toy_model(), batch_window_s=10.0, max_batch_size=16
+            model or make_toy_model(),
+            batch_window_s=10.0,
+            max_batch_size=16,
+            autostart=False,
         )
         pendings = [engine.submit(x) for x in rows]
+        engine.start()
         engine.kill()
         self.wait_for_death(engine)
         return engine, pendings

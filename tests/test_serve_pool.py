@@ -58,13 +58,15 @@ def leased_pool(artifact, cache, policy, autostart=True, **engine_kwargs) -> Eng
 
 
 def strand_on_killed_engine(pool, inputs):
-    """Submit ``inputs`` to the pool's one live engine while its worker
-    holds them in a long batch window, then kill it there: every row
-    becomes an orphan of a dead, unswept engine (a dead engine turns
-    new submits away, so the rows must land before the kill)."""
+    """Queue ``inputs`` on the not-yet-started pool's one engine, start
+    it so its worker holds the backlog in a long batch window, then
+    kill it there: every row becomes an orphan of a dead, unswept
+    engine (a dead engine turns new submits away, so the rows must
+    land before the kill)."""
     (engine,) = pool.engines
     engine.batch_window_s = 10.0  # replacements keep the placement's window
     pendings = [pool.submit(x) for x in inputs]
+    pool.start()
     assert pool.chaos_kill() == 0
     deadline = time.monotonic() + 5.0
     while not engine.worker_died:
@@ -410,7 +412,7 @@ class TestChaosKill:
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
         pool = leased_pool(
             mlp_artifact, cache, policy,
-            batch_window_s=0.0, record_batches=True,
+            batch_window_s=0.0, record_batches=True, autostart=False,
         )
         # The supervisor is inert: the dead engine stays in the rotation
         # with its requests stranded until the sweep below.
@@ -460,7 +462,7 @@ class TestChaosKill:
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
         pool = leased_pool(
-            mlp_artifact, cache, policy, batch_window_s=0.0
+            mlp_artifact, cache, policy, batch_window_s=0.0, autostart=False
         )
         pendings = strand_on_killed_engine(pool, [np.zeros((3, 8, 8))] * 3)
 
@@ -481,7 +483,7 @@ class TestChaosKill:
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
         pool = leased_pool(
-            mlp_artifact, cache, policy, batch_window_s=0.0
+            mlp_artifact, cache, policy, batch_window_s=0.0, autostart=False
         )
         strand_on_killed_engine(pool, [np.zeros((3, 8, 8))])  # until the sweep
         with pytest.raises(EngineDied, match="never drain"):
@@ -536,8 +538,8 @@ class TestIntegerBackendPool:
         cache = ArtifactCache()
         policy = AutoscalePolicy(min_engines=1, max_engines=2, **MANUAL)
         pool = leased_pool(
-            act_artifact, cache, policy,
-            batch_window_s=0.0, record_batches=True, backend="integer",
+            act_artifact, cache, policy, batch_window_s=0.0,
+            record_batches=True, backend="integer", autostart=False,
         )
         inputs = np.random.default_rng(4).standard_normal((6, 3, 8, 8))
         pendings = strand_on_killed_engine(pool, inputs)
@@ -604,16 +606,17 @@ class TestChaosContract:
         kind, policy = CHAOS_CONFIGS[name]
         cache = ArtifactCache()
         placement_type = ProcessPlacement if kind == "process" else ThreadPlacement
-        # Requests dwell in the engines' batching window, so the kill
-        # strands some of them.
+        # Rows queued before start() are a backlog that dwells in the
+        # engines' batching window, so the kill strands some of them.
         placement = placement_type(
             mlp_artifact, cache, batch_window_s=0.25, record_batches=True
         )
-        pool = EnginePool(placement, policy)
+        pool = EnginePool(placement, policy, autostart=False)
         try:
             assert pool.supports_chaos
             inputs = np.random.default_rng(12).standard_normal((8, 3, 8, 8))
             pendings = [pool.submit(x) for x in inputs]
+            pool.start()
             assert pool.chaos_kill(engine_index=0) == 0
             deadline = time.monotonic() + 10
             while pool.stats.engine_deaths < 1:

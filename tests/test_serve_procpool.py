@@ -326,14 +326,16 @@ class TestProcessChaosKill:
         its lease and mapping, spawns a replacement, re-dispatches the
         orphans — and verify_replay(expected=N) proves zero drops."""
         cache = ArtifactCache()
+        # Rows held until start() reach each worker as a backlog, which
+        # dwells in the worker's window until the kill lands.
         pool = process_pool(
-            mlp_artifact, cache, workers=2,
-            batch_window_s=0.25,  # requests dwell in the worker's window
-            record_batches=True,
+            mlp_artifact, cache, workers=2, autostart=False,
+            batch_window_s=0.25, record_batches=True,
         )
         try:
             inputs = np.random.default_rng(3).standard_normal((6, 3, 8, 8))
             pendings = [pool.submit(x) for x in inputs]
+            pool.start()
             killed = pool.chaos_kill(engine_index=0)
             assert killed == 0
             wait_until(
@@ -571,32 +573,37 @@ class GatedModel(Module):
         return x
 
 
+def assert_held_rows_coalesce(kind, artifact, batch_window_s, seed):
+    """Ten rows queued before start() on a one-engine pool capped at 4
+    run as ``[4, 4, 2]``, and every answer replays bit-exactly."""
+    pool = placement_pool(
+        kind, artifact, ArtifactCache(), autostart=False,
+        batch_window_s=batch_window_s, max_batch_size=4, record_batches=True,
+    )
+    try:
+        inputs = np.random.default_rng(seed).standard_normal((10, 3, 8, 8))
+        pendings = [pool.submit(x) for x in inputs]
+        pool.start()
+        pool.drain(timeout=30)
+        (engine,) = pool.engines
+        assert [len(batch) for batch in engine.executed_batches()] == [4, 4, 2]
+        run = ReplayRun(
+            payload={},
+            outputs=np.stack([p.result(timeout=30) for p in pendings]),
+            request_ids=[p.request_id for p in pendings],
+            engine_indices=[p.engine_index for p in pendings],
+        )
+        assert verify_replay(PoolSession(pool), inputs, run, expected=10) == 10
+    finally:
+        pool.close(drain=True, timeout=30)
+
+
 @pytest.mark.parametrize("kind", ["thread", "process"])
 class TestOneEngineCore:
     def test_zero_window_coalesces_held_rows(self, mlp_artifact, kind):
         """Rows queued before start() coalesce into full batches even
         with no window: rows already received join the open batch."""
-        cache = ArtifactCache()
-        pool = placement_pool(
-            kind, mlp_artifact, cache, autostart=False,
-            batch_window_s=0.0, max_batch_size=4, record_batches=True,
-        )
-        try:
-            inputs = np.random.default_rng(12).standard_normal((10, 3, 8, 8))
-            pendings = [pool.submit(x) for x in inputs]
-            pool.start()
-            pool.drain(timeout=30)
-            (engine,) = pool.engines
-            assert [len(batch) for batch in engine.executed_batches()] == [4, 4, 2]
-            run = ReplayRun(
-                payload={},
-                outputs=np.stack([p.result(timeout=30) for p in pendings]),
-                request_ids=[p.request_id for p in pendings],
-                engine_indices=[p.engine_index for p in pendings],
-            )
-            assert verify_replay(PoolSession(pool), inputs, run, expected=10) == 10
-        finally:
-            pool.close(drain=True, timeout=30)
+        assert_held_rows_coalesce(kind, mlp_artifact, batch_window_s=0.0, seed=12)
 
     def test_drain_returns_after_answers_are_delivered(
         self, mlp_artifact, kind, monkeypatch
@@ -686,3 +693,49 @@ class TestReaderFailure:
         np.testing.assert_array_equal(served, local)
         # The failure stays loud: the reader's exception reached the hook.
         assert [type(error.exc_value) for error in errors] == [ValueError]
+
+
+# ----------------------------------------------------------------------
+# idle dispatch: the window only fills batches formed from a backlog
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", ["thread", "process"])
+class TestIdleDispatch:
+    def test_lone_row_on_an_idle_engine_runs_at_once(self, mlp_artifact, kind):
+        """A row that reaches an idle, started engine is answered long
+        before a 10 s window could expire."""
+        cache = ArtifactCache()
+        pool = placement_pool(kind, mlp_artifact, cache, batch_window_s=10.0)
+        try:
+            pool.predict(np.zeros((3, 8, 8)), timeout=2.0)
+        finally:
+            pool.close(drain=True, timeout=30)
+
+    def test_backlog_queued_before_start_coalesces(self, mlp_artifact, kind):
+        """Rows queued before start() at a non-zero window still form
+        full batches; only the short tail waits out the window."""
+        assert_held_rows_coalesce(kind, mlp_artifact, batch_window_s=0.05, seed=14)
+
+
+class TestBusyWorkerBatching:
+    def test_rows_arriving_during_a_forward_form_the_next_batch(self):
+        """Rows that queue behind a gated forward are a backlog: once
+        the forward ends they form the next batch, and the window holds
+        it open for rows that arrive after the forward."""
+        model = GatedModel()
+        engine = InferenceEngine(
+            model, batch_window_s=10.0, max_batch_size=4, record_batches=True
+        )
+        try:
+            rows = [np.full(3, float(i)) for i in range(5)]
+            first = engine.submit(rows[0])
+            assert model.entered.wait(10)  # an idle engine ran the lone row
+            later = [engine.submit(x) for x in rows[1:3]]
+            model.release.set()
+            np.testing.assert_array_equal(first.result(timeout=10), rows[0])
+            later += [engine.submit(x) for x in rows[3:]]
+            for pending, x in zip(later, rows[1:]):
+                np.testing.assert_array_equal(pending.result(timeout=5), x)
+            assert [len(batch) for batch in engine.executed_batches()] == [1, 4]
+        finally:
+            model.release.set()
+            engine.close(drain=True, timeout=30)
