@@ -1,9 +1,11 @@
 """Accuracy-vs-bit-budget sweep: the deployment trade-off curve.
 
-Extends the paper's three discrete budgets to a whole sweep, reusing
-one importance scoring across all budgets (the class-based scores are
-budget-independent). Prints the Pareto table and the deployed-size
-report at the chosen operating point.
+Extends the paper's three discrete budgets to a whole sweep with
+:mod:`repro.experiments.budget_sweep`, the grid that ``repro sweep``
+fans out over a process pool. Each budget runs the full CQ pipeline
+(importance, search, refine). Prints the point table, the Pareto
+frontier + knee report and the deployed-size report at the 2.0-bit
+operating point.
 
 Run:
     python examples/budget_sweep.py [--scale tiny|small]
@@ -11,9 +13,9 @@ Run:
 
 import argparse
 
-from repro.analysis.tradeoff import render_curve, sweep_budgets
-from repro.core import CQConfig
-from repro.experiments.presets import get_pretrained, get_scale
+from repro.core import CQConfig, ClassBasedQuantizer
+from repro.experiments.budget_sweep import render, run
+from repro.experiments.presets import get_pretrained
 from repro.quant.export import export_quantized_weights
 
 
@@ -22,39 +24,29 @@ def main() -> None:
     parser.add_argument("--scale", default="tiny", choices=("tiny", "small"))
     args = parser.parse_args()
 
-    scale_cfg = get_scale(args.scale)
-    model, dataset, fp_accuracy = get_pretrained(
-        "vgg-small", "synth10", scale=args.scale, seed=0
-    )
-    print(f"pre-trained VGG-small, FP accuracy {fp_accuracy:.3f}\n")
-
-    config = CQConfig(
+    # Weights-only (act_bits=None), isolating the arrangement effect.
+    result = run(
+        model="vgg-small",
+        dataset="synth10",
+        budgets=(1.0, 1.5, 2.0, 2.5, 3.0, 4.0),
+        scale=args.scale,
         max_bits=4,
-        act_bits=None,  # weights-only, isolating the arrangement effect
-        samples_per_class=min(16, dataset.config.val_per_class),
-        refine_epochs=scale_cfg.refine_epochs,
-        refine_lr=scale_cfg.refine_lr,
-        refine_batch_size=scale_cfg.batch_size,
+        act_bits=None,
     )
-    curve = sweep_budgets(
-        model, dataset, budgets=[1.0, 1.5, 2.0, 2.5, 3.0, 4.0], config=config
-    )
-    print(render_curve(curve))
+    print(render(result))
 
     # Deployed-size report at the 2.0-bit operating point.
-    from repro.core import ClassBasedQuantizer
-
-    cfg2 = CQConfig(
+    model, dataset, _ = get_pretrained("vgg-small", "synth10", scale=args.scale, seed=0)
+    config = CQConfig(
         target_avg_bits=2.0,
         max_bits=4,
         act_bits=None,
-        samples_per_class=config.samples_per_class,
+        samples_per_class=min(16, dataset.config.val_per_class),
         refine_epochs=0,
     )
-    result = ClassBasedQuantizer(cfg2).quantize(model, dataset)
-    export = export_quantized_weights(result.model)
+    quantized = ClassBasedQuantizer(config).quantize(model, dataset)
     print()
-    print(export.size_report())
+    print(export_quantized_weights(quantized.model).size_report())
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from repro.optim import SGD, MultiStepLR
 from repro.quant import (
     export_quantized_weights,
     integer_mode,
+    max_acc_bits,
     read_bitstream,
     verify_integer_equivalence,
     write_bitstream,
@@ -81,7 +82,7 @@ def main() -> None:
         ArrayDataset(dataset.test_images, dataset.test_labels), batch_size=100
     )
     quantized.eval()
-    with integer_mode(quantized) as integer_model:
+    with integer_mode(quantized) as specs:
         correct = 0
         total = 0
         with no_grad():
@@ -92,7 +93,7 @@ def main() -> None:
         print(f"integer-execution accuracy: {correct / total:.3f}")
         print(
             "widest accumulator needed: "
-            f"{integer_model.max_acc_bits()} bits "
+            f"{max_acc_bits(specs)} bits "
             "(cf. WrapNet's low-precision accumulators)"
         )
 

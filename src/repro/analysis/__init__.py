@@ -29,7 +29,6 @@ from repro.analysis.arrangement import (
 )
 from repro.analysis.engine import Finding, LintConfig, LintReport, lint_paths
 from repro.analysis.render import ascii_bars, ascii_histogram, ascii_table
-from repro.analysis.tradeoff import TradeoffCurve, render_curve, sweep_budgets
 
 __all__ = [
     "ClasswiseReport",
@@ -37,13 +36,10 @@ __all__ = [
     "LintConfig",
     "LintReport",
     "lint_paths",
-    "TradeoffCurve",
     "classwise_report",
     "kept_importance_per_class",
     "per_class_accuracy",
     "render_classwise",
-    "render_curve",
-    "sweep_budgets",
     "ascii_bars",
     "ascii_histogram",
     "ascii_table",

@@ -61,11 +61,3 @@ def layer_bit_summary(
             "num_filters": int(len(scores)),
         }
     return summary
-
-
-def distribution_fractions(distribution: Mapping[int, int]) -> Dict[int, float]:
-    """Normalise a weight-count distribution to fractions."""
-    total = sum(distribution.values())
-    if total == 0:
-        raise ValueError("empty distribution")
-    return {bits: count / total for bits, count in distribution.items()}

@@ -7,7 +7,7 @@ plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 def ascii_table(
@@ -76,13 +76,3 @@ def ascii_histogram(
         f"[{edges[i]:6.2f},{edges[i + 1]:6.2f})" for i in range(len(counts))
     ]
     return ascii_bars(labels, [float(c) for c in counts], width=width, title=title)
-
-
-def format_bit_distribution(distribution: Mapping[int, int], title: str = "") -> str:
-    """Figure-7 style bar block: weights per bit-width."""
-    bits = sorted(distribution)
-    return ascii_bars(
-        [f"{b}-bit" for b in bits],
-        [distribution[b] for b in bits],
-        title=title or None,
-    )

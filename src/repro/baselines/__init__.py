@@ -26,7 +26,6 @@ from repro.baselines.layerwise import (
 )
 from repro.baselines.uniform import train_uniform_baseline
 from repro.baselines.wrapnet import (
-    CyclicActivation,
     WrapLinear,
     WrapConv2d,
     WrapNetConfig,
@@ -36,7 +35,6 @@ from repro.baselines.wrapnet import (
 
 __all__ = [
     "AnyPrecisionNet",
-    "CyclicActivation",
     "LayerwiseConfig",
     "search_layerwise_bits",
     "train_layerwise_baseline",

@@ -209,25 +209,6 @@ class WrapLinear(_WrapMixin, Linear):
         return out
 
 
-class CyclicActivation(Module):
-    """Standalone cyclic activation module (exposed for tests/ablations)."""
-
-    def __init__(self, bits: int):
-        super().__init__()
-        if bits < 2:
-            raise ValueError(f"cyclic activation needs bits >= 2, got {bits}")
-        self.bits = bits
-
-    def forward(self, x: Tensor) -> Tensor:
-        mapped, gradient = cyclic_map(x.data, self.bits)
-        source = x
-
-        def backward(grad):
-            return ((source, grad * gradient),)
-
-        return Tensor._make(mapped, (source,), backward, "cyclic")
-
-
 def build_wrapnet(model: Module, config: WrapNetConfig) -> Module:
     """Convert a float model's quantizable layers to wrapping layers.
 

@@ -8,21 +8,11 @@ different classes. See DESIGN.md §2 for the substitution rationale.
 
 from repro.data.dataset import ArrayDataset, DataLoader, Dataset, train_val_test_split
 from repro.data.synthetic import SynthCIFAR, make_synth_cifar
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
-)
 
 __all__ = [
     "ArrayDataset",
-    "Compose",
     "DataLoader",
     "Dataset",
-    "Normalize",
-    "RandomCrop",
-    "RandomHorizontalFlip",
     "SynthCIFAR",
     "make_synth_cifar",
     "train_val_test_split",

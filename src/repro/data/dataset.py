@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,18 +18,9 @@ class Dataset:
 
 
 class ArrayDataset(Dataset):
-    """Dataset backed by in-memory arrays with an optional batch transform.
+    """Dataset backed by in-memory image and label arrays."""
 
-    ``transform(images, rng)`` is applied per *batch* by the loader
-    (vectorised augmentation is far cheaper in numpy than per-sample).
-    """
-
-    def __init__(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        transform: Optional[Callable] = None,
-    ):
+    def __init__(self, images: np.ndarray, labels: np.ndarray):
         images = np.asarray(images)
         labels = np.asarray(labels)
         if len(images) != len(labels):
@@ -38,7 +29,6 @@ class ArrayDataset(Dataset):
             )
         self.images = images
         self.labels = labels
-        self.transform = transform
 
     def __len__(self) -> int:
         return len(self.images)
@@ -48,7 +38,7 @@ class ArrayDataset(Dataset):
 
     def subset(self, indices: Sequence[int]) -> "ArrayDataset":
         indices = np.asarray(indices)
-        return ArrayDataset(self.images[indices], self.labels[indices], self.transform)
+        return ArrayDataset(self.images[indices], self.labels[indices])
 
 
 class DataLoader:
@@ -87,8 +77,6 @@ class DataLoader:
                 break
             images = self.dataset.images[indices]
             labels = self.dataset.labels[indices]
-            if self.dataset.transform is not None:
-                images = self.dataset.transform(images, self._rng)
             yield images, labels
 
 

@@ -23,8 +23,6 @@ from repro.nn.layers import (
 from repro.nn.losses import (
     CrossEntropyLoss,
     DistillationLoss,
-    KLDivLoss,
-    MSELoss,
 )
 from repro.nn import init
 
@@ -39,9 +37,7 @@ __all__ = [
     "Flatten",
     "GlobalAvgPool2d",
     "Identity",
-    "KLDivLoss",
     "Linear",
-    "MSELoss",
     "MaxPool2d",
     "Module",
     "ModuleList",

@@ -1,4 +1,4 @@
-"""Weight initialisers (Kaiming / Xavier families).
+"""Weight initialisers (Kaiming family) and the PyTorch-style bias init.
 
 All initialisers take an explicit ``numpy.random.Generator`` so model
 construction is fully reproducible from a single seed.
@@ -49,20 +49,6 @@ def kaiming_uniform(
     fan = fan_in if mode == "fan_in" else fan_out
     gain = math.sqrt(2.0) if nonlinearity == "relu" else 1.0
     bound = gain * math.sqrt(3.0 / fan)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot initialisation with normal distribution."""
-    fan_in, fan_out = _fan_in_out(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Glorot initialisation with uniform distribution."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

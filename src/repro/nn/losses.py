@@ -18,26 +18,6 @@ class CrossEntropyLoss(Module):
         return F.cross_entropy(logits, labels)
 
 
-class MSELoss(Module):
-    """Mean squared error."""
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = prediction - target.detach()
-        return (diff * diff).mean()
-
-
-class KLDivLoss(Module):
-    """``KL(softmax(teacher/T) || softmax(student/T))``, teacher detached."""
-
-    def __init__(self, temperature: float = 1.0):
-        super().__init__()
-        self.temperature = temperature
-
-    def forward(self, teacher_logits: Tensor, student_logits: Tensor) -> Tensor:
-        return F.kl_divergence(teacher_logits, student_logits, self.temperature)
-
-
 class DistillationLoss(Module):
     """The refining loss of eq. (10): ``alpha * CE + (1 - alpha) * KL``.
 

@@ -8,20 +8,16 @@ from repro.optim.optimizers import (
     clip_grad_norm_,
 )
 from repro.optim.schedulers import (
-    CosineAnnealingLR,
     LRScheduler,
     MultiStepLR,
-    StepLR,
 )
 
 __all__ = [
     "Adam",
     "AdaptiveGradClipper",
-    "CosineAnnealingLR",
     "LRScheduler",
     "MultiStepLR",
     "Optimizer",
     "SGD",
-    "StepLR",
     "clip_grad_norm_",
 ]

@@ -1,13 +1,12 @@
 """Learning-rate schedulers.
 
 The paper divides the learning rate by 10 at epochs 100, 150 and 300
-(:class:`MultiStepLR` with ``gamma=0.1``); the other schedulers support
-ablations and the smaller synthetic training runs.
+(:class:`MultiStepLR` with ``gamma=0.1``), the schedule every training
+and refinement run here uses.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.optim.optimizers import Optimizer
@@ -44,34 +43,3 @@ class MultiStepLR(LRScheduler):
     def get_lr(self) -> float:
         passed = sum(1 for milestone in self.milestones if self.epoch >= milestone)
         return self.base_lr * (self.gamma ** passed)
-
-
-class StepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * (self.gamma ** (self.epoch // self.step_size))
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        progress = min(self.epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1 + math.cos(math.pi * progress)
-        )

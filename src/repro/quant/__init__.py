@@ -21,12 +21,11 @@ from repro.quant.export import QuantizedExport, export_quantized_weights, verify
 from repro.quant.integer import (
     IntegerEquivalenceError,
     IntegerLayerSpec,
-    IntegerModel,
     compile_integer_layer,
     compile_integer_layer_from_export,
-    compile_integer_model,
     diagnose_integer_equivalence,
     integer_mode,
+    max_acc_bits,
     verify_integer_equivalence,
 )
 from repro.quant.packing import (
@@ -37,33 +36,26 @@ from repro.quant.packing import (
     unpack_bits,
     write_bitstream,
 )
-from repro.quant.metrics import (
-    average_weight_bits,
-    pruned_weight_fraction,
-    weight_quantization_mse,
-    weight_sqnr_db,
-)
+from repro.quant.metrics import pruned_weight_fraction, weight_sqnr_db
 
 __all__ = [
     "BitWidthMap",
     "HistogramObserver",
     "IntegerEquivalenceError",
     "IntegerLayerSpec",
-    "IntegerModel",
     "MinMaxObserver",
     "QConv2d",
     "QLinear",
     "QuantizedExport",
     "UniformQuantizer",
     "average_bit_width",
-    "average_weight_bits",
     "compile_integer_layer",
     "compile_integer_layer_from_export",
-    "compile_integer_model",
     "deserialize_export",
     "diagnose_integer_equivalence",
     "export_quantized_weights",
     "integer_mode",
+    "max_acc_bits",
     "pack_bits",
     "read_bitstream",
     "pruned_weight_fraction",
@@ -78,6 +70,5 @@ __all__ = [
     "verify_export",
     "verify_integer_equivalence",
     "write_bitstream",
-    "weight_quantization_mse",
     "weight_sqnr_db",
 ]

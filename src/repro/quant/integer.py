@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -359,34 +359,40 @@ def _integer_conv(
     return out.reshape(n, spec.num_filters, oh, ow)
 
 
-class IntegerModel:
-    """Compiled integer specs for every quantized layer of a model."""
-
-    def __init__(self, specs: Dict[str, IntegerLayerSpec]):
-        self._specs = specs
-
-    def __getitem__(self, name: str) -> IntegerLayerSpec:
-        return self._specs[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._specs)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def max_acc_bits(self) -> int:
-        """Widest accumulator any layer needed so far (0 before any run)."""
-        return max((spec.acc_bits_used for spec in self._specs.values()), default=0)
+def max_acc_bits(specs: Mapping[str, IntegerLayerSpec]) -> int:
+    """Widest accumulator any layer needed so far (0 before any run)."""
+    return max((spec.acc_bits_used for spec in specs.values()), default=0)
 
 
-def compile_integer_model(model: Module) -> IntegerModel:
-    """Compile every quantized layer of ``model`` for integer execution."""
+def _integer_closure(spec: IntegerLayerSpec):
+    def forward(x: Tensor) -> Tensor:
+        return Tensor(integer_forward(spec, np.asarray(x.data)))
+
+    return forward
+
+
+def install_integer_forwards(
+    model: Module, specs: Mapping[str, IntegerLayerSpec]
+) -> None:
+    """Shadow each named quantized layer's ``forward`` with its spec.
+
+    The instance attribute shadows the class ``forward`` (``__call__``
+    picks it up) and overwrites any closure already installed, such as
+    one a ``deepcopy`` carried over from a clone source.
+    :func:`integer_mode` takes its closures off again on exit.
+    """
     layers = quantized_layers(model)
-    if not layers:
-        raise ValueError("model has no quantized layers to compile")
-    return IntegerModel(
-        {name: compile_integer_layer(layer, name) for name, layer in layers.items()}
-    )
+    missing = set(specs) - set(layers)
+    if missing:
+        raise ValueError(f"model lacks quantized layers {sorted(missing)}")
+    for name, spec in specs.items():
+        object.__setattr__(layers[name], "forward", _integer_closure(spec))
+
+
+def _remove_forwards(layers: Mapping[str, Module]) -> None:
+    for layer in layers.values():
+        if "forward" in layer.__dict__:
+            object.__delattr__(layer, "forward")
 
 
 @contextmanager
@@ -399,29 +405,19 @@ def integer_mode(model: Module):
     as a deployment with FP fallback layers would. The model should be
     in ``eval()`` mode with calibrated observers.
 
-    Yields the :class:`IntegerModel`, whose per-layer ``acc_bits_used``
-    is populated as inference runs.
+    Yields the ``{layer name: IntegerLayerSpec}`` dict; each spec's
+    ``acc_bits_used`` is populated as inference runs (see
+    :func:`max_acc_bits`).
     """
-    integer_model = compile_integer_model(model)
     layers = quantized_layers(model)
+    if not layers:
+        raise ValueError("model has no quantized layers to compile")
+    specs = {name: compile_integer_layer(layer, name) for name, layer in layers.items()}
     try:
-        for name, layer in layers.items():
-            spec = integer_model[name]
-
-            def make_forward(spec: IntegerLayerSpec):
-                def forward(x: Tensor) -> Tensor:
-                    return Tensor(integer_forward(spec, np.asarray(x.data)))
-
-                return forward
-
-            # Instance attribute shadows the class forward; __call__ picks
-            # it up. Removed again in the finally block.
-            object.__setattr__(layer, "forward", make_forward(spec))
-        yield integer_model
+        install_integer_forwards(model, specs)
+        yield specs
     finally:
-        for layer in layers.values():
-            if "forward" in layer.__dict__:
-                object.__delattr__(layer, "forward")
+        _remove_forwards(layers)
 
 
 class IntegerEquivalenceError(AssertionError):
@@ -463,9 +459,7 @@ def capture_quantized_inputs(
         with no_grad():
             output = model(Tensor(np.asarray(inputs, dtype=np.float64))).data.copy()
     finally:
-        for layer in layers.values():
-            if "forward" in layer.__dict__:
-                object.__delattr__(layer, "forward")
+        _remove_forwards(layers)
     return output, captured
 
 

@@ -1,8 +1,7 @@
 """Quantization quality metrics.
 
-Per-layer weight quantization error (MSE and signal-to-quantization-
-noise ratio) and model-level size accounting, used by the report
-generator and the ablation analysis.
+Per-layer weight signal-to-quantization-noise ratio and the pruned
+weight fraction, used by the report generator.
 """
 
 from __future__ import annotations
@@ -10,19 +9,8 @@ from __future__ import annotations
 import math
 from typing import Dict
 
-import numpy as np
-
 from repro.nn.module import Module
 from repro.quant.qmodules import quantized_layers
-
-
-def weight_quantization_mse(model: Module) -> Dict[str, float]:
-    """Mean squared error between latent and fake-quantized weights."""
-    result = {}
-    for name, layer in quantized_layers(model).items():
-        error = layer.effective_weight().data - layer.weight.data
-        result[name] = float((error ** 2).mean())
-    return result
 
 
 def weight_sqnr_db(model: Module) -> Dict[str, float]:
@@ -45,27 +33,6 @@ def weight_sqnr_db(model: Module) -> Dict[str, float]:
         else:
             result[name] = 10.0 * math.log10(signal / noise)
     return result
-
-
-def average_weight_bits(model: Module) -> float:
-    """Weight-count-weighted mean bit-width over quantized layers."""
-    total_bits = 0.0
-    total_weights = 0
-    for layer in quantized_layers(model).values():
-        per_filter = layer.weights_per_filter
-        total_bits += float(layer.bits.sum()) * per_filter
-        total_weights += layer.num_filters * per_filter
-    if total_weights == 0:
-        raise ValueError("model has no quantized layers")
-    return total_bits / total_weights
-
-
-def quantized_weight_count(model: Module) -> int:
-    """Number of scalar weights in quantized layers."""
-    return sum(
-        layer.num_filters * layer.weights_per_filter
-        for layer in quantized_layers(model).values()
-    )
 
 
 def pruned_weight_fraction(model: Module) -> float:

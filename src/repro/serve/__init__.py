@@ -40,7 +40,6 @@ from repro.serve.artifact import (
     ModelLease,
     ServingArtifact,
     artifact_from_result,
-    artifact_from_search,
     build_serving_model,
     compile_artifact,
     load_artifact,
@@ -126,7 +125,6 @@ __all__ = [
     "TraceConfig",
     "TrafficTrace",
     "artifact_from_result",
-    "artifact_from_search",
     "build_serving_model",
     "combine_serve_stats",
     "compile_artifact",

@@ -63,7 +63,6 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.nn.module import Module
-from repro.quant.bitmap import BitWidthMap
 from repro.quant.export import (
     STORAGE_DTYPE_BITS,
     QuantizedExport,
@@ -77,7 +76,7 @@ from repro.quant.packing import (
     read_export,
     serialize_export,
 )
-from repro.quant.qmodules import apply_bit_map, quantize_model, quantized_layers
+from repro.quant.qmodules import quantize_model, quantized_layers
 from repro.utils.misc import clone_module
 
 SIDECAR_MAGIC = b"CQS1"
@@ -679,24 +678,6 @@ def artifact_from_result(
         extra=figures,
     )
     return compile_artifact(result.model, manifest, sidecar_dtype=sidecar_dtype)
-
-
-def artifact_from_search(
-    model: Module,
-    search,
-    manifest: ArtifactManifest,
-    sidecar_dtype: str = DEFAULT_SIDECAR_DTYPE,
-) -> ServingArtifact:
-    """Compile a float model + search result (or bare bit map) directly.
-
-    Skips refinement: the artifact holds the searched arrangement
-    applied to the pre-trained weights — the pre-refinement deployment.
-    """
-    bit_map = search if isinstance(search, BitWidthMap) else search.bit_map
-    student = clone_module(model)
-    quantize_model(student, max_bits=manifest.max_bits, act_bits=manifest.act_bits)
-    apply_bit_map(student, bit_map)
-    return compile_artifact(student, manifest, sidecar_dtype=sidecar_dtype)
 
 
 # ----------------------------------------------------------------------

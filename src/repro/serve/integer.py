@@ -51,7 +51,9 @@ from repro.quant.integer import (
     IntegerLayerSpec,
     capture_quantized_inputs,
     compile_integer_layer_from_export,
+    install_integer_forwards,
     integer_forward,
+    max_acc_bits,
 )
 from repro.quant.qmodules import quantized_layers
 from repro.serve.engine import _model_input_dtype
@@ -117,33 +119,7 @@ class IntegerServingModel:
         self._shell = shell
         self.specs = specs
         self.parity_rtol = float(parity_rtol)
-        self._install()
-
-    def _install(self) -> None:
-        """Shadow each quantized layer's forward with its integer spec.
-
-        Instance attributes shadow the class ``forward`` (the
-        :func:`~repro.quant.integer.integer_mode` trick, made
-        permanent); installing overwrites any closure a ``deepcopy``
-        carried over from a clone source, so a clone never shares
-        mutable spec state with its prototype.
-        """
-        layers = quantized_layers(self._shell)
-        missing = set(self.specs) - set(layers)
-        if missing:
-            raise ValueError(
-                f"shell model lacks quantized layers {sorted(missing)}"
-            )
-        for name, spec in self.specs.items():
-            layer = layers[name]
-
-            def make_forward(spec: IntegerLayerSpec):
-                def forward(x: Tensor) -> Tensor:
-                    return Tensor(integer_forward(spec, np.asarray(x.data)))
-
-                return forward
-
-            object.__setattr__(layer, "forward", make_forward(spec))
+        install_integer_forwards(shell, specs)
 
     # -- Module protocol (the slice the serving stack uses) -------------
     def __call__(self, x: Tensor) -> Tensor:
@@ -166,9 +142,7 @@ class IntegerServingModel:
         """Widest signed accumulator (bits) any int-MAC batch needed so
         far (0 before any run, and 0 for weight-only specs whose
         activations stay float)."""
-        return max(
-            (spec.acc_bits_used for spec in self.specs.values()), default=0
-        )
+        return max_acc_bits(self.specs)
 
     def clone(self) -> "IntegerServingModel":
         """A private copy for one engine (the copy-on-lease primitive).
@@ -176,7 +150,7 @@ class IntegerServingModel:
         The shell's parameter/buffer arrays are deep-copied; each spec
         is a :meth:`~repro.quant.integer.IntegerLayerSpec.lease_copy` —
         the immutable code/bias arrays stay shared, the mutable
-        ``acc_bits_used`` statistics are private. ``_install`` then
+        ``acc_bits_used`` statistics are private. The constructor then
         replaces the deepcopied forward closures (which still reference
         the prototype's specs) with closures over the private copies.
         """

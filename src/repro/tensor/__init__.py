@@ -12,7 +12,7 @@ Tensor
     The differentiable array type.
 no_grad / is_grad_enabled
     Context manager and query for disabling graph construction.
-tensor / zeros / ones / randn / arange
+tensor / zeros / ones / arange
     Convenience constructors.
 """
 
@@ -23,7 +23,6 @@ from repro.tensor.tensor import (
     is_grad_enabled,
     no_grad,
     ones,
-    randn,
     stack,
     tensor,
     zeros,
@@ -38,7 +37,6 @@ __all__ = [
     "is_grad_enabled",
     "no_grad",
     "ones",
-    "randn",
     "stack",
     "tensor",
     "zeros",

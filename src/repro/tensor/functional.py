@@ -335,13 +335,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return -picked.mean()
 
 
-def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood given log-probabilities."""
-    labels = np.asarray(labels).astype(np.int64)
-    picked = log_probs[np.arange(labels.shape[0]), labels]
-    return -picked.mean()
-
-
 def kl_divergence(teacher_logits: Tensor, student_logits: Tensor, temperature: float = 1.0) -> Tensor:
     """Batch-mean ``KL(softmax(teacher/T) || softmax(student/T))``.
 
@@ -361,14 +354,6 @@ def kl_divergence(teacher_logits: Tensor, student_logits: Tensor, temperature: f
     t_log_probs = log_softmax(teacher * (1.0 / temperature), axis=1)
     per_sample = (t_probs * (t_log_probs - s_log_probs)).sum(axis=1)
     return per_sample.mean() * (temperature * temperature)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer labels (N,) to one-hot float array (N, num_classes)."""
-    labels = np.asarray(labels).astype(np.int64)
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def accuracy(logits: Union[Tensor, np.ndarray], labels: np.ndarray) -> float:

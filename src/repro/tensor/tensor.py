@@ -623,13 +623,6 @@ def ones(*shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
-def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    rng = rng if rng is not None else np.random.default_rng()
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
-
-
 def arange(*args, requires_grad: bool = False) -> Tensor:
     return Tensor(np.arange(*args, dtype=np.float64), requires_grad=requires_grad)
 

@@ -35,8 +35,3 @@ def clone_module(module: Module) -> Module:
     for sub in clone.modules():
         sub._forward_hooks.clear()
     return clone
-
-
-def count_parameters(module: Module) -> int:
-    """Number of trainable scalars in a module."""
-    return module.num_parameters()

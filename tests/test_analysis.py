@@ -15,9 +15,7 @@ from repro.analysis import (
     sorted_score_curve,
     sorted_score_curves,
 )
-from repro.analysis.arrangement import distribution_fractions
 from repro.analysis.histograms import histogram_skewness, score_histograms
-from repro.analysis.render import format_bit_distribution
 from repro.core.importance import ImportanceResult
 from repro.quant import BitWidthMap
 
@@ -73,14 +71,6 @@ class TestArrangement:
         distribution = bit_width_distribution(bit_map, 4)
         assert distribution[0] == 10 and distribution[4] == 10
 
-    def test_distribution_fractions(self):
-        fractions = distribution_fractions({0: 25, 4: 75})
-        assert fractions[0] == pytest.approx(0.25)
-
-    def test_distribution_fractions_empty_raises(self):
-        with pytest.raises(ValueError):
-            distribution_fractions({})
-
     def test_layer_bit_summary_contents(self):
         scores = {"l": np.array([1.0, 5.0, 9.0])}
         bit_map = BitWidthMap({"l": np.array([0, 2, 4])}, {"l": 3})
@@ -131,7 +121,3 @@ class TestRender:
         text = ascii_histogram([1, 3], [0.0, 1.0, 2.0], title="H")
         assert text.startswith("H")
         assert "#" in text
-
-    def test_format_bit_distribution(self):
-        text = format_bit_distribution({0: 5, 2: 10}, title="bits")
-        assert "0-bit" in text and "2-bit" in text

@@ -1,19 +1,11 @@
-"""Tests for the histogram observer, comparison utilities and result IO."""
+"""Tests for the histogram observer and result IO."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.analysis.comparison import (
-    arrangement_agreement,
-    bit_histogram_distance,
-    pruning_overlap,
-    score_kendall_tau,
-    score_rank_correlation,
-)
 from repro.experiments.io import load_result, save_result
-from repro.quant import BitWidthMap
 from repro.quant.histogram_observer import HistogramObserver
 
 
@@ -81,77 +73,6 @@ class TestHistogramObserver:
         obs.observe(np.ones(5))
         obs.reset()
         assert not obs.initialized
-
-
-class TestComparison:
-    def make_maps(self):
-        map_a = BitWidthMap(
-            {"l1": np.array([0, 2, 4]), "l2": np.array([1, 1])},
-            {"l1": 3, "l2": 5},
-        )
-        map_b = BitWidthMap(
-            {"l1": np.array([0, 2, 2]), "l2": np.array([1, 4])},
-            {"l1": 3, "l2": 5},
-        )
-        return map_a, map_b
-
-    def test_rank_correlation_identity(self):
-        scores = {"l": np.array([1.0, 2.0, 3.0, 4.0])}
-        result = score_rank_correlation(scores, scores)
-        assert result["l"] == pytest.approx(1.0)
-
-    def test_rank_correlation_reversed(self):
-        a = {"l": np.array([1.0, 2.0, 3.0, 4.0])}
-        b = {"l": np.array([4.0, 3.0, 2.0, 1.0])}
-        assert score_rank_correlation(a, b)["l"] == pytest.approx(-1.0)
-
-    def test_rank_correlation_constant_is_nan(self):
-        a = {"l": np.ones(4)}
-        b = {"l": np.arange(4.0)}
-        assert np.isnan(score_rank_correlation(a, b)["l"])
-
-    def test_rank_correlation_layer_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            score_rank_correlation({"a": np.ones(2)}, {"b": np.ones(2)})
-
-    def test_kendall_tau_identity(self):
-        scores = {"l": np.array([3.0, 1.0, 2.0])}
-        assert score_kendall_tau(scores, scores)["l"] == pytest.approx(1.0)
-
-    def test_agreement_counts_matching_filters(self):
-        map_a, map_b = self.make_maps()
-        # l1 agrees on 2/3, l2 on 1/2 -> 3/5
-        assert arrangement_agreement(map_a, map_b) == pytest.approx(3 / 5)
-
-    def test_agreement_layer_mismatch_raises(self):
-        map_a, _ = self.make_maps()
-        other = BitWidthMap({"x": np.array([1])}, {"x": 1})
-        with pytest.raises(ValueError):
-            arrangement_agreement(map_a, other)
-
-    def test_pruning_overlap_jaccard(self):
-        map_a = BitWidthMap({"l": np.array([0, 0, 4])}, {"l": 1})
-        map_b = BitWidthMap({"l": np.array([0, 4, 0])}, {"l": 1})
-        # pruned sets {0,1} and {0,2}: intersection 1, union 3
-        assert pruning_overlap(map_a, map_b) == pytest.approx(1 / 3)
-
-    def test_pruning_overlap_no_pruning_nan(self):
-        map_a = BitWidthMap({"l": np.array([4, 4])}, {"l": 1})
-        assert np.isnan(pruning_overlap(map_a, map_a))
-
-    def test_histogram_distance_zero_for_identical(self):
-        map_a, _ = self.make_maps()
-        assert bit_histogram_distance(map_a, map_a) == pytest.approx(0.0)
-
-    def test_histogram_distance_bounded(self):
-        map_a, map_b = self.make_maps()
-        distance = bit_histogram_distance(map_a, map_b)
-        assert 0.0 <= distance <= 1.0
-
-    def test_histogram_distance_disjoint_is_one(self):
-        map_a = BitWidthMap({"l": np.array([0, 0])}, {"l": 2})
-        map_b = BitWidthMap({"l": np.array([4, 4])}, {"l": 2})
-        assert bit_histogram_distance(map_a, map_b) == pytest.approx(1.0)
 
 
 class TestResultIO:

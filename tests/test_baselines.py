@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.baselines import (
     AnyPrecisionNet,
-    CyclicActivation,
     SwitchableBatchNorm2d,
     WrapConv2d,
     WrapLinear,
@@ -126,16 +125,6 @@ class TestWrapArithmetic:
         below, _ = cyclic_map(np.array([3.999]), 4)
         above, _ = cyclic_map(np.array([4.001]), 4)
         assert abs(below[0] - above[0]) < 0.01
-
-    def test_cyclic_activation_module_backward(self):
-        layer = CyclicActivation(4)
-        x = Tensor(np.array([1.0, 6.0]), requires_grad=True)
-        layer(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, [1.0, -1.0])
-
-    def test_cyclic_activation_invalid_bits(self):
-        with pytest.raises(ValueError):
-            CyclicActivation(1)
 
 
 class TestWrapLayers:

@@ -1,19 +1,14 @@
-"""Tests for the synthetic dataset generator, loaders and transforms."""
+"""Tests for the synthetic dataset generator and loaders."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
     ArrayDataset,
-    Compose,
     DataLoader,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
     make_synth_cifar,
     train_val_test_split,
 )
-from repro.data.transforms import GaussianNoise
 
 
 class TestSynthCIFAR:
@@ -139,85 +134,9 @@ class TestDataLoader:
             next(iter(l1))[1], next(iter(l2))[1]
         )
 
-    def test_transform_applied_per_batch(self):
-        calls = []
-
-        def transform(images, rng):
-            calls.append(len(images))
-            return images + 1.0
-
-        images = np.zeros((6, 1))
-        loader = DataLoader(
-            ArrayDataset(images, np.zeros(6), transform=transform), batch_size=2
-        )
-        batches = list(loader)
-        assert calls == [2, 2, 2]
-        assert all((imgs == 1.0).all() for imgs, _ in batches)
-
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             self.make(batch_size=0)
-
-
-class TestTransforms:
-    def test_flip_all(self, rng):
-        images = rng.standard_normal((4, 3, 5, 5))
-        flipped = RandomHorizontalFlip(p=1.0)(images, rng)
-        np.testing.assert_array_equal(flipped, images[:, :, :, ::-1])
-
-    def test_flip_none(self, rng):
-        images = rng.standard_normal((4, 3, 5, 5))
-        out = RandomHorizontalFlip(p=0.0)(images, rng)
-        np.testing.assert_array_equal(out, images)
-
-    def test_flip_does_not_mutate_input(self, rng):
-        images = rng.standard_normal((4, 3, 5, 5))
-        original = images.copy()
-        RandomHorizontalFlip(p=1.0)(images, rng)
-        np.testing.assert_array_equal(images, original)
-
-    def test_flip_invalid_p(self):
-        with pytest.raises(ValueError):
-            RandomHorizontalFlip(p=2.0)
-
-    def test_crop_preserves_shape(self, rng):
-        images = rng.standard_normal((4, 3, 8, 8))
-        out = RandomCrop(2)(images, rng)
-        assert out.shape == images.shape
-
-    def test_crop_zero_padding_identity(self, rng):
-        images = rng.standard_normal((2, 1, 4, 4))
-        np.testing.assert_array_equal(RandomCrop(0)(images, rng), images)
-
-    def test_crop_negative_raises(self):
-        with pytest.raises(ValueError):
-            RandomCrop(-1)
-
-    def test_normalize(self, rng):
-        images = rng.standard_normal((5, 2, 3, 3)) * 4 + 7
-        out = Normalize(mean=[7, 7], std=[4, 4])(images, rng)
-        assert abs(out.mean()) < 0.5
-
-    def test_normalize_zero_std_raises(self):
-        with pytest.raises(ValueError):
-            Normalize(mean=[0], std=[0])
-
-    def test_gaussian_noise(self, rng):
-        images = np.zeros((2, 1, 4, 4))
-        out = GaussianNoise(0.5)(images, rng)
-        assert out.std() > 0.2
-
-    def test_gaussian_noise_zero_sigma_identity(self, rng):
-        images = np.ones((2, 1, 4, 4))
-        assert GaussianNoise(0.0)(images, rng) is images
-
-    def test_compose_order(self, rng):
-        images = np.ones((1, 1, 2, 2))
-        transform = Compose([
-            lambda x, r: x * 2,
-            lambda x, r: x + 1,
-        ])
-        np.testing.assert_array_equal(transform(images, rng), images * 2 + 1)
 
 
 class TestSplit:

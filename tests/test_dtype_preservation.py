@@ -109,7 +109,6 @@ UNARY = {
     "log_softmax": lambda x: F.log_softmax(x.flatten()),
     "softmax": lambda x: F.softmax(x.flatten()),
     "cross_entropy": lambda x: F.cross_entropy(x.flatten(), np.array([0, 1])),
-    "nll_loss": lambda x: F.nll_loss(F.log_softmax(x.flatten()), np.array([1, 0])),
     "kl_divergence": lambda x: F.kl_divergence(x.flatten() * 0.5, x.flatten(), 2.0),
     "dropout": lambda x: F.dropout(x, 0.5, True, np.random.default_rng(0)),
 }
@@ -205,7 +204,7 @@ class TestLayers:
             assert value.dtype == dtype, state_name
 
     @DTYPES
-    @pytest.mark.parametrize("name", ["ce", "mse", "kl", "distill"])
+    @pytest.mark.parametrize("name", ["ce", "distill"])
     @EXAMPLES
     @given(seed=SEEDS)
     def test_losses_keep_dtype(self, name, dtype, seed):
@@ -214,8 +213,6 @@ class TestLayers:
         labels = np.array([0, 3, 1])
         loss = {
             "ce": lambda: nn.CrossEntropyLoss()(student, labels),
-            "mse": lambda: nn.MSELoss()(student, teacher),
-            "kl": lambda: nn.KLDivLoss(2.0)(teacher, student),
             "distill": lambda: nn.DistillationLoss(0.3, 2.0)(student, labels, teacher),
         }[name]()
         assert_keeps_dtype(loss, dtype, (student,))

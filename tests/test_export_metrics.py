@@ -1,4 +1,4 @@
-"""Tests for integer export, quantization metrics, report and trade-off sweep."""
+"""Tests for integer export, quantization metrics and the report."""
 
 import math
 
@@ -12,13 +12,7 @@ from repro.quant.export import (
     export_quantized_weights,
     verify_export,
 )
-from repro.quant.metrics import (
-    average_weight_bits,
-    pruned_weight_fraction,
-    quantized_weight_count,
-    weight_quantization_mse,
-    weight_sqnr_db,
-)
+from repro.quant.metrics import pruned_weight_fraction, weight_sqnr_db
 
 
 def quantized_mlp(bits_fc1=None, bits_fc2=None, max_bits=4):
@@ -97,23 +91,6 @@ class TestExport:
 
 
 class TestMetrics:
-    def test_mse_zero_when_quant_disabled(self):
-        model, layers = quantized_mlp()
-        for layer in layers.values():
-            layer.weight_quant_enabled = False
-        assert all(v == 0.0 for v in weight_quantization_mse(model).values())
-
-    def test_mse_positive_at_low_bits(self):
-        model, _ = quantized_mlp(bits_fc1=[1] * 6)
-        assert weight_quantization_mse(model)["fc1"] > 0
-
-    def test_mse_decreases_with_bits(self):
-        mse = []
-        for bits in (1, 2, 4):
-            model, _ = quantized_mlp(bits_fc1=[bits] * 6)
-            mse.append(weight_quantization_mse(model)["fc1"])
-        assert mse[0] > mse[1] > mse[2]
-
     def test_sqnr_increases_with_bits(self):
         values = []
         for bits in (1, 2, 4):
@@ -127,18 +104,6 @@ class TestMetrics:
             layer.weight_quant_enabled = False
         assert all(v == math.inf for v in weight_sqnr_db(model).values())
 
-    def test_average_weight_bits_matches_bitmap(self):
-        model, _ = quantized_mlp(bits_fc1=[0, 1, 2, 3, 4, 4], bits_fc2=[2] * 5)
-        from repro.quant.qmodules import extract_bit_map
-
-        assert average_weight_bits(model) == pytest.approx(
-            extract_bit_map(model).average_bits()
-        )
-
-    def test_quantized_weight_count(self):
-        model, _ = quantized_mlp()
-        assert quantized_weight_count(model) == 8 * 6 + 6 * 5
-
     def test_pruned_fraction(self):
         model, _ = quantized_mlp(bits_fc1=[0] * 6, bits_fc2=[4] * 5)
         expected = (8 * 6) / (8 * 6 + 6 * 5)
@@ -146,8 +111,6 @@ class TestMetrics:
 
     def test_metrics_raise_without_quantized_layers(self):
         model = MLP(10, (8, 6), 3, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            average_weight_bits(model)
         with pytest.raises(ValueError):
             pruned_weight_fraction(model)
 
@@ -167,55 +130,3 @@ class TestReport:
         assert "average weight bits" in text
         assert "per-layer arrangement" in text
         assert "KiB" in text
-
-
-class TestTradeoff:
-    def test_sweep_monotone_bits(self, tiny_dataset, trained_mlp):
-        from repro.analysis.tradeoff import render_curve, sweep_budgets
-        from repro.core import CQConfig
-
-        config = CQConfig(
-            max_bits=4, act_bits=None, step=0.5, samples_per_class=4,
-            refine_epochs=0, search_batch_size=40,
-        )
-        curve = sweep_budgets(
-            trained_mlp, tiny_dataset, budgets=[1.0, 2.0, 3.0], config=config,
-            refine=False,
-        )
-        assert len(curve.points) == 3
-        bits = [point.avg_bits for point in curve.points]
-        assert bits[0] <= 1.0 + 1e-9
-        assert all(a <= b + 1e-9 for a, b in zip(bits, bits[1:]))
-        text = render_curve(curve)
-        assert "budget" in text
-
-    def test_sweep_budget_satisfied(self, tiny_dataset, trained_mlp):
-        from repro.analysis.tradeoff import sweep_budgets
-        from repro.core import CQConfig
-
-        config = CQConfig(
-            max_bits=4, act_bits=None, step=0.5, samples_per_class=4,
-            refine_epochs=0, search_batch_size=40,
-        )
-        curve = sweep_budgets(
-            trained_mlp, tiny_dataset, budgets=[2.5], config=config, refine=False
-        )
-        assert curve.points[0].avg_bits <= 2.5 + 1e-9
-
-    def test_curve_exports_design_points(self, tiny_dataset, trained_mlp):
-        from repro.analysis.tradeoff import sweep_budgets
-        from repro.core import CQConfig
-        from repro.hw import pareto_front
-
-        config = CQConfig(
-            max_bits=4, act_bits=None, step=0.5, samples_per_class=4,
-            refine_epochs=0, search_batch_size=40,
-        )
-        curve = sweep_budgets(
-            trained_mlp, tiny_dataset, budgets=[1.0, 3.0], config=config, refine=False
-        )
-        points = curve.design_points()
-        assert [p.label for p in points] == ["B=1", "B=3"]
-        assert all(p.payload is point for p, point in zip(points, curve.points))
-        # The frontier machinery accepts them directly.
-        assert pareto_front(points)

@@ -11,6 +11,7 @@ for the float backend, rescale-bounded on top for the integer backend.
 """
 
 import base64
+import gc
 import http.client
 import threading
 import time
@@ -439,15 +440,27 @@ class TestAdmissionOverHTTP:
         finally:
             server.close(drain=True)
 
-    def test_engine_queue_full_sheds_429(self, mlp_artifact):
+    def test_engine_queue_full_sheds_429(self, mlp_artifact, monkeypatch):
         # Registry budget wide open; the per-engine max_pending bound
-        # (satellite 1) is what sheds here, with its own 429 code.
+        # (satellite 1) is what sheds here, with its own 429 code. The
+        # first forward holds until a row has been shed, so a second
+        # request always finds the first outstanding (a tiny-MLP forward
+        # would otherwise finish before the next request arrives).
         registry = ArtifactRegistry()
         registry.register(
             make_spec(mlp_artifact, max_pending=1, retry_after_s=0.02,
                       batch_window_s=0.25, max_batch_size=1),
             preload=True,
         )
+        (engine,) = registry.session("mlp").engines
+        shed = threading.Event()
+        forward = engine._model.forward
+
+        def gated_forward(x):
+            shed.wait(10)
+            return forward(x)
+
+        monkeypatch.setattr(engine._model, "forward", gated_forward)
         server = GatewayServer(registry)
         server.start()
         try:
@@ -463,6 +476,7 @@ class TestAdmissionOverHTTP:
                     except GatewayHTTPError as error:
                         outcome = error.code
                         assert error.status == 429
+                        shed.set()
                     with lock:
                         codes.append(outcome)
 
@@ -479,13 +493,25 @@ class TestAdmissionOverHTTP:
         finally:
             server.close(drain=True)
 
-    def test_graceful_drain_completes_inflight(self, mlp_artifact):
+    def test_graceful_drain_completes_inflight(self, mlp_artifact, monkeypatch):
         registry = ArtifactRegistry()
         registry.register(
             make_spec(mlp_artifact, batch_window_s=0.3, max_batch_size=4),
             preload=True,
         )
+        # Forwards hold until the server starts draining, so close()
+        # provably begins with every request still pending.
+        (engine,) = registry.session("mlp").engines
+        forward = engine._model.forward
         server = GatewayServer(registry)
+
+        def gated_forward(x):
+            deadline = time.monotonic() + 10
+            while not server._draining and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return forward(x)
+
+        monkeypatch.setattr(engine._model, "forward", gated_forward)
         server.start()
         results = []
 
@@ -496,10 +522,18 @@ class TestAdmissionOverHTTP:
         threads = [threading.Thread(target=post) for _ in range(3)]
         for thread in threads:
             thread.start()
-        time.sleep(0.1)  # requests are in flight, window still open
+        deadline = time.monotonic() + 10
+        while registry.admission_stats("mlp")["pending"] < 3:
+            assert time.monotonic() < deadline, "requests never reached the engine"
+            time.sleep(0.005)
+        assert results == []
         server.close(drain=True)  # must wait them out, not drop them
         for thread in threads:
             thread.join()
+        # close() stops the loop with the drained connections' handler
+        # coroutines still pending; finalize them here, not inside some
+        # later import (a finalizer run mid-``ast.parse`` breaks it).
+        gc.collect()
         assert len(results) == 3
         assert all(result.shape == (4,) for result in results)
         with pytest.raises(OSError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, DistillationLoss, KLDivLoss, MSELoss
+from repro.nn import CrossEntropyLoss, DistillationLoss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -15,39 +15,6 @@ class TestCrossEntropyLoss:
         module_loss = CrossEntropyLoss()(logits, labels)
         functional_loss = F.cross_entropy(logits, labels)
         assert float(module_loss.data) == pytest.approx(float(functional_loss.data))
-
-
-class TestMSELoss:
-    def test_zero_for_equal(self, rng):
-        x = Tensor(rng.standard_normal(5))
-        assert float(MSELoss()(x, x.copy()).data) == pytest.approx(0.0)
-
-    def test_known_value(self):
-        pred = Tensor(np.array([1.0, 2.0]))
-        target = Tensor(np.array([0.0, 0.0]))
-        assert float(MSELoss()(pred, target).data) == pytest.approx(2.5)
-
-    def test_target_detached(self, rng):
-        pred = Tensor(rng.standard_normal(3), requires_grad=True)
-        target = Tensor(rng.standard_normal(3), requires_grad=True)
-        MSELoss()(pred, target).backward()
-        assert pred.grad is not None
-        assert target.grad is None
-
-    def test_accepts_numpy_target(self, rng):
-        pred = Tensor(rng.standard_normal(3))
-        loss = MSELoss()(pred, pred.data.copy())
-        assert float(loss.data) == pytest.approx(0.0)
-
-
-class TestKLDivLoss:
-    def test_zero_for_identical(self, rng):
-        logits = Tensor(rng.standard_normal((3, 4)))
-        loss = KLDivLoss()(logits, Tensor(logits.data.copy()))
-        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
-
-    def test_temperature_stored(self):
-        assert KLDivLoss(temperature=4.0).temperature == 4.0
 
 
 class TestDistillationLoss:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import SGD, Adam, CosineAnnealingLR, MultiStepLR, StepLR
+from repro.optim import SGD, Adam, MultiStepLR
 
 
 def make_param(value=1.0, grad=0.5):
@@ -108,38 +108,6 @@ class TestSchedulers:
             sched.step()
             lrs.append(opt.lr)
         assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01, 0.01])
-
-    def test_step_lr(self):
-        opt = SGD([make_param()], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == pytest.approx([1.0, 0.5, 0.5, 0.25])
-
-    def test_step_lr_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            StepLR(SGD([make_param()], lr=1.0), step_size=0)
-
-    def test_cosine_endpoints(self):
-        opt = SGD([make_param()], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        assert sched.get_lr() == pytest.approx(1.0)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_midpoint_half(self):
-        opt = SGD([make_param()], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_cosine_invalid_tmax(self):
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(SGD([make_param()], lr=1.0), t_max=0)
 
     def test_current_lr_property(self):
         opt = SGD([make_param()], lr=0.3)

@@ -15,9 +15,9 @@ from repro.nn import Linear, Module
 from repro.quant.integer import (
     IntegerLayerSpec,
     compile_integer_layer,
-    compile_integer_model,
     integer_forward,
     integer_mode,
+    max_acc_bits,
     verify_integer_equivalence,
 )
 from repro.quant.qmodules import (
@@ -186,7 +186,8 @@ class TestCompile:
                 return self.fc(x)
 
         with pytest.raises(ValueError, match="no quantized layers"):
-            compile_integer_model(Plain())
+            with integer_mode(Plain()):
+                pass
 
 
 class TestModelLevel:
@@ -217,11 +218,11 @@ class TestModelLevel:
 
     def test_accumulator_width_tracked(self, quantized_vgg, rng):
         with no_grad():
-            with integer_mode(quantized_vgg) as integer_model:
+            with integer_mode(quantized_vgg) as specs:
                 quantized_vgg(Tensor(rng.standard_normal((2, 3, 8, 8))))
         # Activation quantization is on, so int x int MACs ran and the
         # accumulator profile must be populated and plausible.
-        assert 0 < integer_model.max_acc_bits() <= 64
+        assert 0 < max_acc_bits(specs) <= 64
 
     def test_integer_mode_cleanup_on_error(self, quantized_vgg):
         with pytest.raises(RuntimeError, match="boom"):

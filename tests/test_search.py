@@ -165,6 +165,27 @@ class TestBitWidthSearch:
         r2 = make_search(lambda bits: float(np.sum(bits["layer1"])) % 2).run()
         np.testing.assert_array_equal(r1.thresholds, r2.thresholds)
 
+    def test_average_bits_monotone_in_budget(self, tiny_dataset, trained_mlp):
+        """One importance scoring, searched at rising budgets: a larger
+        budget never yields a smaller average bit-width."""
+        from dataclasses import replace
+
+        from repro.core.pipeline import ClassBasedQuantizer
+
+        base = CQConfig(
+            max_bits=4, act_bits=None, step=0.5, samples_per_class=4,
+            search_batch_size=40,
+        )
+        importance = ClassBasedQuantizer(base).compute_importance(trained_mlp, tiny_dataset)
+        bits = [
+            ClassBasedQuantizer(replace(base, target_avg_bits=budget))
+            .search_bit_widths(trained_mlp, tiny_dataset, importance)
+            .average_bits
+            for budget in (1.0, 2.0, 3.0)
+        ]
+        assert bits[0] <= 1.0 + 1e-9
+        assert all(a <= b + 1e-9 for a, b in zip(bits, bits[1:]))
+
 
 class TestSearchConfigValidation:
     def test_bad_t1(self):

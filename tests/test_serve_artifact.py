@@ -13,7 +13,6 @@ from repro.quant.qmodules import quantized_layers
 from repro.serve import (
     ArtifactCache,
     ArtifactManifest,
-    artifact_from_search,
     compile_artifact,
     load_artifact,
     load_artifact_bytes,
@@ -339,31 +338,6 @@ class TestServingModel:
             dict(prototype.named_parameters())[first_name].data,
             proto_state[first_name],
         )
-
-    def test_artifact_from_search_bit_map(self, quantized_mlp_factory, rng):
-        from repro.experiments.presets import build_preset_model
-        from repro.quant.qmodules import extract_bit_map
-
-        quantized, manifest = quantized_mlp_factory()
-        float_model = build_preset_model(
-            "mlp", num_classes=4, image_size=8, scale="tiny", seed=1
-        )
-        # Carry the float weights over so the arrangement is the only delta.
-        state = {
-            key: value
-            for key, value in quantized.state_dict().items()
-            if not (key.endswith("quant_bits") or key.endswith("act_range"))
-        }
-        float_model.load_state_dict(state, strict=False)
-        artifact = artifact_from_search(
-            float_model, extract_bit_map(quantized), manifest,
-            sidecar_dtype="float64",
-        )
-        batch = rng.standard_normal((4, 3, 8, 8))
-        with no_grad():
-            expected = quantized(Tensor(batch)).data
-            got = artifact.model()(Tensor(batch)).data
-        np.testing.assert_array_equal(got, expected)
 
 
 class TestVerifyExportStrict:

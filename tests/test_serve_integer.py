@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.quant.export import export_quantized_weights
+from repro.quant.integer import install_integer_forwards
 from repro.quant.packing import deserialize_export, serialize_export
 from repro.quant.qmodules import (
     calibrate_activations,
@@ -385,7 +386,8 @@ class TestParityVerifier:
                 spec.codes[live[0]] += 10_000
                 break
         assert victim is not None
-        integer_model._install()  # re-bind closures over the edited spec
+        # Re-bind the closures over the edited spec.
+        install_integer_forwards(integer_model.shell, integer_model.specs)
         inputs = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
         with pytest.raises(IntegerBackendParityError) as excinfo:
             verify_integer_parity(integer_model, float64_reference(artifact), inputs)

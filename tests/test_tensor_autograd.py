@@ -4,7 +4,7 @@ against central finite differences, plus graph-shape and mode tests."""
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, no_grad, is_grad_enabled, tensor, zeros, ones, arange, randn
+from repro.tensor import Tensor, no_grad, is_grad_enabled, tensor, zeros, ones, arange
 from tests.conftest import finite_difference
 
 
@@ -39,7 +39,6 @@ class TestConstruction:
         assert zeros(2, 3).shape == (2, 3)
         assert ones((4,)).data.sum() == 4.0
         assert arange(5).shape == (5,)
-        assert randn(2, 2, rng=np.random.default_rng(0)).shape == (2, 2)
 
     def test_item_scalar(self):
         assert Tensor([[2.5]]).item() == 2.5

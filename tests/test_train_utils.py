@@ -11,7 +11,6 @@ from repro.quant import quantize_model, quantized_layers
 from repro.train import Trainer, evaluate_model
 from repro.utils import (
     clone_module,
-    count_parameters,
     load_checkpoint,
     save_checkpoint,
     set_global_seed,
@@ -186,10 +185,6 @@ class TestClone:
         clone = clone_module(model)
         clone_first = next(iter(quantized_layers(clone).values()))
         np.testing.assert_array_equal(clone_first.bits, first.bits)
-
-    def test_count_parameters(self):
-        model = MLP(8, (6, 4), 2, rng=np.random.default_rng(0))
-        assert count_parameters(model) == (8 * 6 + 6) + (6 * 4 + 4) + (4 * 2 + 2)
 
 
 class TestSeeding:
