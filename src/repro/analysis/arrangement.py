@@ -9,7 +9,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 

@@ -9,8 +9,8 @@ arrangement kept for each class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

@@ -46,6 +46,7 @@ ALL_RULE_IDS = (
     "lock-discipline",
     "strict-json",
     "thread-lifecycle",
+    "unused-import",
 )
 
 #: Rule id attached to files the engine cannot parse. Always active —
@@ -211,8 +212,8 @@ DEFAULT_RULESETS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     # Test and benchmark code may use ad-hoc randomness and broad
     # excepts (pytest.raises scaffolding), but must still honor the
     # archive and threading invariants it exercises.
-    ("tests/", ("lock-discipline", "strict-json", "thread-lifecycle")),
-    ("benchmarks/", ("lock-discipline", "strict-json", "thread-lifecycle")),
+    ("tests/", ("lock-discipline", "strict-json", "thread-lifecycle", "unused-import")),
+    ("benchmarks/", ("lock-discipline", "strict-json", "thread-lifecycle", "unused-import")),
     ("examples/", ("strict-json", "thread-lifecycle")),
 )
 

@@ -9,7 +9,7 @@ exactly that data.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Mapping, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -7,7 +7,7 @@ plotting dependency.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def ascii_table(

@@ -14,6 +14,7 @@ from typing import Iterable, List, Optional
 from repro.analysis.engine import ALL_RULE_IDS, Rule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.excepts import BareExceptRule
+from repro.analysis.rules.imports import UnusedImportRule
 from repro.analysis.rules.lifecycle import ThreadLifecycleRule
 from repro.analysis.rules.locks import LockDisciplineRule
 from repro.analysis.rules.strict_json import StrictJsonRule
@@ -24,6 +25,7 @@ _RULE_CLASSES = (
     LockDisciplineRule,
     StrictJsonRule,
     ThreadLifecycleRule,
+    UnusedImportRule,
 )
 
 assert tuple(sorted(cls.id for cls in _RULE_CLASSES)) == ALL_RULE_IDS, (

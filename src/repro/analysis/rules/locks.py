@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.engine import (
     _ATTR_DECL,

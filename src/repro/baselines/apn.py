@@ -20,25 +20,23 @@ The evaluation entry point matches the paper's Fig. 4 protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
-from repro.nn.layers import BatchNorm1d, BatchNorm2d, Conv2d, Linear
+from repro.nn.layers import BatchNorm2d
 from repro.nn.module import Module
 from repro.optim.optimizers import SGD
 from repro.optim.schedulers import MultiStepLR
 from repro.quant.qmodules import (
-    QConv2d,
-    QLinear,
     calibrate_activations,
     quantize_model,
     quantized_layers,
 )
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor, no_grad
-from repro.train.trainer import EpochMetrics, evaluate_model
+from repro.train.trainer import evaluate_model
 from repro.utils.misc import clone_module
 
 

@@ -24,7 +24,7 @@ differences are attributable to the *granularity* of the arrangement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

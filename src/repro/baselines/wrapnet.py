@@ -25,7 +25,7 @@ activation shaping the gradient near overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from repro.optim.schedulers import MultiStepLR
 from repro.quant.observer import MinMaxObserver
 from repro.quant.qmodules import _get_parent, quantizable_layer_names
 from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.tensor import Tensor
 from repro.train.trainer import evaluate_model
 from repro.utils.misc import clone_module
 

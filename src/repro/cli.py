@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.engine import ALL_RULE_IDS
 from repro.core.config import CQConfig
@@ -64,8 +64,82 @@ from repro.core.report import summarize
 from repro.experiments.presets import SCALES, get_pretrained
 from repro.models.registry import available_models
 from repro.runner.registry import FIGURE_NAMES as _FIGURES
+from repro.serve.pool import AutoscalePolicy
+from repro.serve.session import ServeConfig
 from repro.serve.trace import TRACE_KINDS
 from repro.utils.checkpoint import save_checkpoint
+
+
+def _add_serving_flags(
+    parser: argparse.ArgumentParser,
+    max_batch: int = ServeConfig.max_batch_size,
+    fanout: bool = True,
+) -> None:
+    """Add the serving flags of ``serve``, ``gateway`` and ``predict``
+    (:func:`_serve_fields` reads them back). Each feeds a
+    :class:`~repro.serve.session.ServeConfig` field, which documents it
+    and gives its default (``predict`` raises the batch cap); ``fanout``
+    adds the batching window and the engine fan-out flags."""
+    parser.add_argument("--max-batch", type=int, default=max_batch, help="batch-size cap")
+    parser.add_argument(
+        "--backend",
+        choices=("float", "integer"),
+        default=ServeConfig.backend,
+        help="execution backend: 'float' serves the reconstructed "
+        "weights, 'integer' executes the packed CQW1 codes with "
+        "integer MACs (parity checked against the derived rescale "
+        "bound)",
+    )
+    if not fanout:
+        return
+    parser.add_argument(
+        "--batch-window-ms",
+        type=float,
+        default=ServeConfig.batch_window_s * 1e3,
+        help="micro-batching window: how long a batch formed from a backlog "
+        "waits to fill (a request reaching an idle engine runs at once)",
+    )
+    parser.add_argument(
+        "--engines",
+        type=int,
+        default=ServeConfig.engines,
+        help="engines serving each artifact concurrently (each gets a "
+        "private model clone leased from the cache)",
+    )
+    parser.add_argument(
+        "--autoscale",
+        action="store_true",
+        help="scale engines from queue depth between --engines (min) and "
+        "--max-engines instead of a fixed fan-out",
+    )
+    parser.add_argument(
+        "--max-engines",
+        type=int,
+        default=AutoscalePolicy.max_engines,
+        help="autoscaler upper bound on leased engines",
+    )
+
+
+def _serve_fields(args) -> Dict[str, object]:
+    """The :class:`~repro.serve.session.ServeConfig` fields set by the
+    serving flags of ``args``; a flag its command lacks leaves the
+    field at its default. Raises ``ValueError`` on bad autoscale bounds."""
+    fields: Dict[str, object] = {"max_batch_size": args.max_batch, "backend": args.backend}
+    if "engines" not in args:
+        return fields
+    processes = getattr(args, "processes", 0)
+    if args.autoscale:
+        fields["autoscale"] = AutoscalePolicy(
+            min_engines=processes or args.engines, max_engines=args.max_engines
+        )
+    if processes:
+        fields.update(pool="process", workers=processes)
+    fields.update(
+        batch_window_s=args.batch_window_ms / 1e3,
+        engines=args.engines,
+        max_pending=getattr(args, "max_pending", ServeConfig.max_pending),
+    )
+    return fields
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,21 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="closed-loop clients of the backlog trace (at most this many "
         "requests outstanding)",
     )
-    serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window: how long a batch formed from a backlog "
-        "waits to fill (a request reaching an idle engine runs at once)",
-    )
-    serve.add_argument("--max-batch", type=int, default=16, help="batch-size cap")
-    serve.add_argument(
-        "--engines",
-        type=int,
-        default=1,
-        help="engines serving the artifact concurrently (each gets a "
-        "private model clone leased from the cache)",
-    )
+    _add_serving_flags(serve)
     serve.add_argument(
         "--processes",
         type=int,
@@ -201,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="backlog",
         help="arrival process: 'backlog' queues every request at t=0 and "
         "replays it from --concurrency clients; the others are open-loop "
-        "replays at --rate",
+        "replays at --rate (which --autoscale and --chaos need)",
     )
     serve.add_argument(
         "--rate",
@@ -232,31 +292,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "p95-vs-SLO verdict",
     )
     serve.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="scale engines from queue depth between --engines (min) and "
-        "--max-engines instead of a fixed fan-out (open-loop --trace only)",
-    )
-    serve.add_argument(
-        "--max-engines",
-        type=int,
-        default=4,
-        help="autoscaler upper bound on leased engines",
-    )
-    serve.add_argument(
         "--chaos",
         action="store_true",
         help="kill one engine's worker mid-trace to exercise lease release, "
         "re-lease and request re-dispatch",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("float", "integer"),
-        default="float",
-        help="execution backend: 'float' serves the reconstructed "
-        "weights, 'integer' executes the packed CQW1 codes with "
-        "integer MACs (parity checked against the derived rescale "
-        "bound)",
     )
 
     gateway = sub.add_parser(
@@ -278,27 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--port", type=int, default=8707, help="bind port (0 picks a free one)"
     )
-    gateway.add_argument(
-        "--backend",
-        choices=("float", "integer"),
-        default="float",
-        help="execution backend for every artifact (see `repro serve --backend`)",
-    )
-    gateway.add_argument(
-        "--engines", type=int, default=1, help="engines leased per artifact"
-    )
-    gateway.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="autoscale each artifact between --engines and --max-engines "
-        "from queue depth",
-    )
-    gateway.add_argument(
-        "--max-engines",
-        type=int,
-        default=4,
-        help="autoscaler upper bound on leased engines",
-    )
+    _add_serving_flags(gateway)
     gateway.add_argument(
         "--budget",
         type=int,
@@ -308,18 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gateway.add_argument(
         "--max-pending",
         type=int,
-        default=None,
+        default=ServeConfig.max_pending,
         help="per-engine queue bound (QueueFull past it; default unbounded)",
-    )
-    gateway.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window per artifact: how long a batch formed "
-        "from a backlog waits to fill (an idle engine runs at once)",
-    )
-    gateway.add_argument(
-        "--max-batch", type=int, default=16, help="micro-batch size cap"
     )
     gateway.add_argument(
         "--preload",
@@ -351,13 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument(
         "--output", default=None, help="write logits + labels to this .npz"
     )
-    predict.add_argument("--max-batch", type=int, default=32, help="batch-size cap")
-    predict.add_argument(
-        "--backend",
-        choices=("float", "integer"),
-        default="float",
-        help="execution backend (see `repro serve --backend`)",
-    )
+    _add_serving_flags(predict, max_batch=32, fanout=False)
 
     lint = sub.add_parser(
         "lint",
@@ -577,8 +580,6 @@ def _run_serve(args) -> int:
     from repro.experiments.presets import get_dataset
     from repro.serve import (
         ArtifactCache,
-        AutoscalePolicy,
-        ServeConfig,
         ServingSession,
         TraceConfig,
         cycle_inputs,
@@ -608,22 +609,7 @@ def _run_serve(args) -> int:
         print("serve: --autoscale/--chaos need an open-loop --trace", file=sys.stderr)
         return 2
     try:
-        policy = None
-        if args.autoscale:
-            policy = AutoscalePolicy(
-                min_engines=args.processes or args.engines,
-                max_engines=args.max_engines,
-            )
-        config = ServeConfig(
-            batch_window_s=args.batch_window_ms / 1e3,
-            max_batch_size=args.max_batch,
-            record_batches=not args.no_verify,
-            engines=args.engines,
-            autoscale=policy,
-            backend=args.backend,
-            pool="process" if args.processes else "thread",
-            workers=args.processes or ServeConfig.workers,
-        )
+        config = ServeConfig(record_batches=not args.no_verify, **_serve_fields(args))
         resolve_policy(config)
         trace = generate_trace(
             TraceConfig(
@@ -649,6 +635,7 @@ def _run_serve(args) -> int:
         if inputs is None:
             dataset = get_dataset(manifest.dataset, scale=manifest.scale, seed=manifest.seed)
             inputs = cycle_inputs(dataset.test_images, trace.rows)
+            policy = config.autoscale
             if policy is not None:
                 fanout_note = f"autoscale {policy.min_engines}..{policy.max_engines}"
             elif args.processes:
@@ -691,8 +678,8 @@ def _run_serve(args) -> int:
 
 def _run_gateway(args) -> int:
     from repro.gateway import ArtifactRegistry, ArtifactSpec, GatewayServer
-    from repro.serve import AutoscalePolicy
 
+    fields = _serve_fields(args)
     specs = []
     for pair in args.artifacts:
         name, sep, path = pair.partition("=")
@@ -702,28 +689,12 @@ def _run_gateway(args) -> int:
                 file=sys.stderr,
             )
             return 2
-        specs.append((name, path))
-    policy = None
-    if args.autoscale:
-        policy = AutoscalePolicy(
-            min_engines=args.engines, max_engines=args.max_engines
+        specs.append(
+            ArtifactSpec(name=name, source=path, pending_budget=args.budget, **fields)
         )
     registry = ArtifactRegistry()
-    for name, path in specs:
-        registry.register(
-            ArtifactSpec(
-                name=name,
-                source=path,
-                backend=args.backend,
-                engines=args.engines,
-                autoscale=policy,
-                batch_window_s=args.batch_window_ms / 1e3,
-                max_batch_size=args.max_batch,
-                max_pending=args.max_pending,
-                pending_budget=args.budget,
-            ),
-            preload=args.preload,
-        )
+    for spec in specs:
+        registry.register(spec, preload=args.preload)
     server = GatewayServer(registry, host=args.host, port=args.port)
     try:
         server.start()
@@ -731,7 +702,7 @@ def _run_gateway(args) -> int:
         print(f"gateway: cannot bind {args.host}:{args.port} — {error}",
               file=sys.stderr)
         return 1
-    names = ", ".join(name for name, _path in specs)
+    names = ", ".join(spec.name for spec in specs)
     print(f"gateway: serving {names} at {server.url}")
     print("gateway: POST /v1/predict/<name> | GET /healthz /v1/artifacts /v1/stats")
     print("gateway: SIGTERM/Ctrl-C drains and exits")
@@ -740,37 +711,25 @@ def _run_gateway(args) -> int:
     return 0
 
 
-def _predict_remote(args, images) -> int:
-    import numpy as np
-
-    from repro.gateway import GatewayClient, GatewayHTTPError
+def _predict_remote(args, images):
+    """``(logits, report note)`` from the gateway at ``--url``, or
+    ``None`` once its error is printed."""
+    from repro.gateway import GatewayClient, GatewayHTTPError, decode_tensor
 
     with GatewayClient(args.url) as client:
         try:
             document = client.predict_raw(args.artifact, images)
         except GatewayHTTPError as error:
             print(f"predict: gateway answered {error}", file=sys.stderr)
-            return 1
-        from repro.gateway import decode_tensor
-
-        logits = decode_tensor(document["outputs"])
-    labels = logits.argmax(axis=1)
-    for index, label in enumerate(labels):
-        print(f"sample {index}: class {int(label)} (logit {logits[index, label]:+.4f})")
-    print(
-        f"predicted {len(labels)} samples from {args.artifact} at {args.url} "
-        f"({document['backend']} backend)"
-    )
-    if args.output:
-        np.savez(args.output, logits=logits, labels=labels)
-        print(f"wrote logits/labels to {args.output}")
-    return 0
+            return None
+    note = f" at {args.url} ({document['backend']} backend)"
+    return decode_tensor(document["outputs"]), note
 
 
 def _run_predict(args) -> int:
     import numpy as np
 
-    from repro.serve import DEFAULT_CACHE, ServeConfig, ServingSession
+    from repro.serve import DEFAULT_CACHE, ServingSession
 
     if args.artifact is None:
         print(
@@ -799,18 +758,19 @@ def _run_predict(args) -> int:
         print(f"predict: expected a batch, got shape {images.shape}", file=sys.stderr)
         return 2
     if args.url is not None:
-        return _predict_remote(args, images)
-    artifact = DEFAULT_CACHE.load(args.artifact)
-    with ServingSession(
-        artifact,
-        config=ServeConfig(max_batch_size=args.max_batch, backend=args.backend),
-    ) as session:
-        logits = session.predict_batch(images)
+        answer = _predict_remote(args, images)
+        if answer is None:
+            return 1
+        logits, note = answer
+    else:
+        artifact = DEFAULT_CACHE.load(args.artifact)
+        with ServingSession(artifact, config=ServeConfig(**_serve_fields(args))) as session:
+            logits = session.predict_batch(images)
+        note = f" ({args.backend} backend)" if args.backend != "float" else ""
     labels = logits.argmax(axis=1)
     for index, label in enumerate(labels):
         print(f"sample {index}: class {int(label)} (logit {logits[index, label]:+.4f})")
-    backend_note = f" ({args.backend} backend)" if args.backend != "float" else ""
-    print(f"predicted {len(labels)} samples from {args.artifact}{backend_note}")
+    print(f"predicted {len(labels)} samples from {args.artifact}{note}")
     if args.output:
         np.savez(args.output, logits=logits, labels=labels)
         print(f"wrote logits/labels to {args.output}")

@@ -16,10 +16,8 @@ demotion costs the least validation accuracy, stop at the budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.hw.profile import ModelProfile, profile_model
 from repro.nn.module import Module

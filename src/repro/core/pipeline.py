@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-import numpy as np
-
 from repro.core.config import CQConfig
 from repro.core.distill import refine_quantized_model
 from repro.core.evaluator import IncrementalEvaluator
@@ -26,12 +24,7 @@ from repro.data.synthetic import SynthCIFAR
 from repro.nn.module import Module
 from repro.quant.bitmap import BitWidthMap
 from repro.quant.bn import reestimate_batchnorm_stats
-from repro.quant.qmodules import (
-    apply_bit_map,
-    calibrate_activations,
-    quantize_model,
-    quantized_layers,
-)
+from repro.quant.qmodules import apply_bit_map, calibrate_activations, quantize_model
 from repro.train.trainer import History, evaluate_model
 from repro.utils.misc import clone_module
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from repro.core.search import BitWidthSearch, make_weight_quant_evaluator
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.experiments.presets import get_pretrained, get_scale
 from repro.nn.module import Module
-from repro.quant.bitmap import BitWidthMap
 from repro.train.trainer import evaluate_model
 
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.analysis.histograms import histogram_skewness, score_histograms
 from repro.analysis.render import ascii_histogram
 from repro.core.importance import ImportanceResult, ImportanceScorer
-from repro.experiments.presets import get_pretrained, get_scale
+from repro.experiments.presets import get_pretrained
 
 
 @dataclass

@@ -19,7 +19,7 @@ from repro.analysis.render import ascii_table
 from repro.core.config import CQConfig
 from repro.core.importance import ImportanceScorer
 from repro.core.search import BitWidthSearch, SearchResult, make_weight_quant_evaluator
-from repro.experiments.presets import get_pretrained, get_scale
+from repro.experiments.presets import get_pretrained
 
 
 @dataclass

@@ -14,7 +14,7 @@ while the 2.0 budget uses {0..4} (Sec. III-C example).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.render import ascii_table
 from repro.baselines.apn import train_apn

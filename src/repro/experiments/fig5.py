@@ -9,7 +9,7 @@ bit-width shrinks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.render import ascii_table
 from repro.baselines.wrapnet import WrapNetConfig, train_wrapnet

@@ -10,14 +10,14 @@ share, while the ResNets keep more filters at 1-2 bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.render import ascii_table
 from repro.core.config import CQConfig
 from repro.core.importance import ImportanceScorer
 from repro.core.search import BitWidthSearch, make_weight_quant_evaluator
 from repro.experiments.fig4 import BIT_SETTINGS, PANELS, search_range_for_budget
-from repro.experiments.presets import get_pretrained, get_scale
+from repro.experiments.presets import get_pretrained
 
 
 @dataclass

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.analysis.render import ascii_table
 from repro.baselines.layerwise import LayerwiseConfig, train_layerwise_baseline

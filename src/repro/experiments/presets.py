@@ -16,11 +16,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.data.dataset import ArrayDataset, DataLoader
 from repro.data.synthetic import SynthCIFAR, make_synth_cifar

@@ -4,10 +4,10 @@
 lazily stands up one :class:`~repro.serve.session.ServingSession` per
 name — through the content-hash :class:`~repro.serve.artifact.ArtifactCache`,
 so two names pointing at the same bytes share one parsed artifact and
-every engine leases a private clone. Each entry carries its own
-serving configuration (``backend`` / ``engines`` / ``autoscale`` /
-``pool``/``workers`` for process-backed serving / ``max_pending``) and
-its own **admission budget**: the most input rows
+every engine leases a private clone. Each entry's
+:class:`ArtifactSpec` *is* its serving configuration — it extends
+:class:`~repro.serve.session.ServeConfig`, which documents every
+field — plus its own **admission budget**: the most input rows
 allowed admitted-but-unanswered at once, shed with
 :class:`AdmissionRejected` (the gateway's HTTP 429) instead of growing
 the queue without bound.
@@ -22,12 +22,11 @@ layer's ``close(timeout)`` / ``ShutdownTimeout`` semantics.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.serve.artifact import ArtifactCache, ServingArtifact
-from repro.serve.pool import AutoscalePolicy
 from repro.serve.session import ServeConfig, ServingSession, resolve_policy
 
 #: Default per-artifact admission budget (input rows admitted but not
@@ -55,55 +54,22 @@ class AdmissionRejected(RuntimeError):
         self.retry_after_s = float(retry_after_s)
 
 
-@dataclass(frozen=True)
-class ArtifactSpec:
-    """One registered artifact: a name, a source, and serving knobs."""
+@dataclass(frozen=True, kw_only=True)
+class ArtifactSpec(ServeConfig):
+    """One registered artifact: a name, a source, an admission budget,
+    and the :class:`~repro.serve.session.ServeConfig` fields it
+    inherits (``autostart`` must stay ``True``: a registered session
+    that never starts would hang every predict)."""
 
     name: str
     source: Union[str, Path, ServingArtifact]
     """CQW1 path (loaded through the cache) or an in-memory artifact."""
-
-    backend: str = "float"
-    engines: int = 1
-    autoscale: Optional[AutoscalePolicy] = None
-    batch_window_s: float = 0.002
-    """How long a batch formed from a backlog waits to fill; a request
-    reaching an idle engine runs at once."""
-
-    max_batch_size: int = 16
-    record_batches: bool = False
-    max_pending: Optional[int] = None
-    """Per-engine admission budget (:class:`~repro.serve.engine.QueueFull`)."""
-
-    pool: str = "thread"
-    """Where this artifact's engines run: ``"thread"`` (in-process) or
-    ``"process"`` (``workers`` worker processes over one shared-memory
-    artifact, :class:`~repro.serve.procpool.ProcessPlacement`)."""
-
-    workers: int = 2
-    """Worker-process fan-out when ``pool == "process"``."""
 
     pending_budget: int = DEFAULT_PENDING_BUDGET
     """Gateway-level budget: rows admitted but unanswered, per artifact."""
 
     retry_after_s: float = 1.0
     """Back-off hint sent with 429 responses for this artifact."""
-
-    def serve_config(self) -> ServeConfig:
-        """The spec's serving fields, passed through unchanged;
-        :meth:`ArtifactRegistry.register` validates them with
-        :func:`~repro.serve.session.resolve_policy`."""
-        return ServeConfig(
-            batch_window_s=self.batch_window_s,
-            max_batch_size=self.max_batch_size,
-            record_batches=self.record_batches,
-            engines=self.engines,
-            autoscale=self.autoscale,
-            backend=self.backend,
-            max_pending=self.max_pending,
-            pool=self.pool,
-            workers=self.workers,
-        )
 
     def describe(self) -> Dict[str, object]:
         """JSON-able static view (the ``/v1/artifacts`` entry core)."""
@@ -172,7 +138,12 @@ class ArtifactRegistry:
             raise ValueError(
                 f"artifact name {spec.name!r} must be non-empty and free of '/'"
             )
-        resolve_policy(spec.serve_config())
+        if not spec.autostart:
+            raise ValueError(
+                "ArtifactSpec.autostart must stay True: the registry "
+                "never starts a session, so its predicts would hang"
+            )
+        resolve_policy(spec)
         with self._lock:
             if self._closing:
                 raise RuntimeError("registry is closed")
@@ -228,7 +199,7 @@ class ArtifactRegistry:
             ) from error
         try:
             session = ServingSession(
-                entry.spec.source, config=entry.spec.serve_config(), cache=self.cache
+                entry.spec.source, config=entry.spec, cache=self.cache
             )
         except BaseException as exc:
             with self._lock:

@@ -143,7 +143,7 @@ def run_point(
     }
     if compare_inprocess:
         baseline = replay_and_verify(
-            artifact, spec.serve_config(), row_inputs, traffic, slo_ms
+            artifact, spec, row_inputs, traffic, slo_ms
         )
         payload["inprocess"] = baseline
         inprocess_wall = float(baseline["wall_s"])

@@ -42,7 +42,7 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -178,6 +178,12 @@ class GatewayServer:
         try:
             loop.run_forever()
         finally:
+            # Drained keep-alive connections still await their next
+            # request: end them on this loop, not at GC once it closed.
+            pending = asyncio.all_tasks(loop)
+            for task in pending:
+                task.cancel()
+            loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
             loop.run_until_complete(loop.shutdown_asyncgens())
             loop.close()
             self._stopped.set()

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import base64
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

@@ -25,8 +25,8 @@ technology point can be substituted; defaults approximate 45 nm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterator, Mapping, Optional, Union
 
 import numpy as np
 

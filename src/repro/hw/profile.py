@@ -21,8 +21,8 @@ the mixed-precision literature accounts compute.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -9,11 +9,11 @@ per-filter map versus a uniform map at the same average bit-width).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.analysis.render import ascii_table
-from repro.hw.energy import EnergyModel, EnergyReport
-from repro.hw.latency import LatencyModel, LatencyReport
+from repro.hw.energy import EnergyModel
+from repro.hw.latency import LatencyModel
 from repro.hw.pareto import DesignPoint, hypervolume_2d, knee_point, pareto_front
 from repro.hw.profile import ModelProfile
 from repro.quant.bitmap import BitWidthMap

@@ -13,7 +13,7 @@ percentile min/max observer.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -28,7 +28,7 @@ boundary); within a layer, codes are packed without padding.
 from __future__ import annotations
 
 import struct
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 

@@ -15,7 +15,7 @@ skipping the first and output layers exactly as in Sec. IV.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

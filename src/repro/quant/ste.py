@@ -8,8 +8,6 @@ exactly as in the paper's refining phase (Sec. III-D).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.quant.uniform import UniformQuantizer, quantize_per_filter

@@ -11,7 +11,7 @@ is how CQ unifies pruning and quantization (Sec. I).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Mapping
 
 import numpy as np
 

@@ -202,7 +202,9 @@ class ThreadPlacement:
     leases a private clone of ``source`` from ``cache``
     (copy-on-lease), so the placement can always build another.
     ``first_lease`` (an already-taken lease of the same artifact) is
-    used for the first engine instead of a fresh one.
+    used for the first engine instead of a fresh one. ``config`` (a
+    :class:`~repro.serve.session.ServeConfig`) gives the lease backend
+    and every engine's batching and admission knobs.
 
     Bare models (``source`` is a :class:`Module` or a sequence of
     distinct ones): each model is served by exactly one engine and
@@ -215,22 +217,12 @@ class ThreadPlacement:
     def __init__(
         self,
         source: Union[ServingArtifact, Module, Sequence[Module]],
-        cache=None,
-        backend: str = "float",
-        batch_window_s: float = 0.002,
-        max_batch_size: int = 16,
-        record_batches: bool = False,
-        max_pending: Optional[int] = None,
+        cache,
+        config,
         first_lease=None,
     ):
         self.cache = cache
-        self._backend = backend
-        self._engine_kwargs = dict(
-            batch_window_s=batch_window_s,
-            max_batch_size=max_batch_size,
-            record_batches=record_batches,
-            max_pending=max_pending,
-        )
+        self.config = config
         self._first_lease = first_lease
         if isinstance(source, ServingArtifact):
             if cache is None:
@@ -265,10 +257,17 @@ class ThreadPlacement:
         else:
             lease, self._first_lease = self._first_lease, None
             if lease is None:
-                lease = self.cache.lease(self._artifact, backend=self._backend)
+                lease = self.cache.lease(self._artifact, backend=self.config.backend)
             model = lease.model
         try:
-            engine = InferenceEngine(model, autostart=False, **self._engine_kwargs)
+            engine = InferenceEngine(
+                model,
+                batch_window_s=self.config.batch_window_s,
+                max_batch_size=self.config.max_batch_size,
+                record_batches=self.config.record_batches,
+                autostart=False,
+                max_pending=self.config.max_pending,
+            )
         except BaseException:
             if lease is not None:
                 lease.release()

@@ -292,8 +292,8 @@ class ProcessWorkerHandle(_EngineCore):
         conn,
         input_dtype: np.dtype,
         backend: str,
-        record_batches: bool = False,
-        max_pending: Optional[int] = None,
+        record_batches: bool,
+        max_pending: Optional[int],
     ):
         super().__init__(input_dtype, backend, record_batches, max_pending)
         self.process = process
@@ -438,7 +438,9 @@ class ProcessPlacement:
     replay worker-served batches bit-exactly without shipping models
     across processes, and keeps lease accounting identical to the
     thread placement. ``first_lease`` (an already-taken lease of the
-    same artifact) becomes the first twin.
+    same artifact) becomes the first twin. ``config`` (a
+    :class:`~repro.serve.session.ServeConfig`) gives the backend and
+    every worker's batching and admission knobs.
 
     :meth:`close` unlinks the segment — after that, attaching its name
     fails, which is what the shm-leak tests assert.
@@ -451,11 +453,7 @@ class ProcessPlacement:
         self,
         artifact: ServingArtifact,
         cache,
-        backend: str = "float",
-        batch_window_s: float = 0.002,
-        max_batch_size: int = 16,
-        record_batches: bool = False,
-        max_pending: Optional[int] = None,
+        config,
         first_lease=None,
     ):
         if artifact.data is None:
@@ -470,11 +468,7 @@ class ProcessPlacement:
         self._untrack_on_attach = mp_context != "fork"
         self._artifact = artifact
         self.cache = cache
-        self._backend = backend
-        self._batch_window_s = float(batch_window_s)
-        self._max_batch_size = int(max_batch_size)
-        self._record_batches = bool(record_batches)
-        self._max_pending = None if max_pending is None else int(max_pending)
+        self.config = config
         self._first_lease = first_lease
         self._lock = threading.Lock()
         self._attached = 0  # guarded-by: _lock
@@ -484,9 +478,10 @@ class ProcessPlacement:
     def spawn(self):
         """Lease a verification twin, fork a worker, handshake; the
         handle holds its request frames until started."""
+        config = self.config
         lease, self._first_lease = self._first_lease, None
         if lease is None:
-            lease = self.cache.lease(self._artifact, backend=self._backend)
+            lease = self.cache.lease(self._artifact, backend=config.backend)
         try:
             parent_conn, child_conn = self._ctx.Pipe(duplex=True)
             process = self._ctx.Process(
@@ -496,9 +491,9 @@ class ProcessPlacement:
                     self.segment.name,
                     self.segment.nbytes,
                     self._artifact.content_key,
-                    self._backend,
-                    self._batch_window_s,
-                    self._max_batch_size,
+                    config.backend,
+                    float(config.batch_window_s),
+                    int(config.max_batch_size),
                     self._untrack_on_attach,
                 ),
                 name="repro-serve-proc-worker",
@@ -516,8 +511,8 @@ class ProcessPlacement:
             parent_conn,
             input_dtype=input_dtype,
             backend=getattr(lease.model, "serving_backend", "float"),
-            record_batches=self._record_batches,
-            max_pending=self._max_pending,
+            record_batches=config.record_batches,
+            max_pending=config.max_pending,
         )
         with self._lock:
             self._attached += 1

@@ -44,40 +44,19 @@ from repro.serve.pool import AutoscalePolicy, EnginePool, ThreadPlacement
 from repro.serve.procpool import ProcessPlacement
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServeConfig:
-    """Engine knobs of a session (see :class:`InferenceEngine`).
+    """Engine knobs of a session — the one place a serving field, its
+    default and its meaning are written.
 
-    Three fields decide the fan-out, and :func:`resolve_policy` turns
-    them into the pool's :class:`~repro.serve.pool.AutoscalePolicy`:
-
-    * ``pool`` picks where engines run: ``"thread"`` (default) serves
-      in-process worker threads; ``"process"`` serves from worker
-      processes mapping one shared-memory copy of the artifact — true
-      parallel forwards instead of GIL-shared ones.
-    * ``engines`` is the thread fan-out; ``workers`` the process one.
-      Each must stay at its default under the other pool kind.
-    * ``autoscale`` lets the pool grow and shrink between the policy's
-      ``min_engines``/``max_engines`` from observed queue depth, under
-      either pool kind. The count field then stays at its default or
-      agrees with ``min_engines``.
-
-    Fan-out, autoscaling and process workers need an artifact (or
-    path) source — engines are leased clones.
-
-    ``backend`` picks the execution path: ``"float"`` (default) serves
-    the reconstructed-weight model; ``"integer"`` serves the packed
-    CQW1 codes with integer MACs
-    (:mod:`repro.serve.integer` — requires an artifact source, and
-    answers agree with the float backend within the derived rescale
-    bound checked by :func:`~repro.serve.replay.verify_replay`).
-
-    ``max_pending`` bounds each engine's admitted-but-unanswered work:
-    a submit beyond the budget raises
-    :class:`~repro.serve.engine.QueueFull` (counted in
-    ``ServeStats.rejected``) instead of growing the queue — the
-    load-shedding contract the gateway maps to HTTP 429. ``None``
-    (default) keeps the queue unbounded.
+    The gateway's :class:`~repro.gateway.registry.ArtifactSpec` extends
+    this class, both placements read it whole, and the CLI's serving
+    flags build it. Three fields decide the fan-out — ``pool``,
+    ``engines``/``workers`` and ``autoscale`` — and
+    :func:`resolve_policy` turns them into the pool's
+    :class:`~repro.serve.pool.AutoscalePolicy`. Fan-out, autoscaling
+    and process workers need an artifact (or path) source — engines
+    are leased clones.
     """
 
     batch_window_s: float = 0.002
@@ -85,14 +64,47 @@ class ServeConfig:
     reaching an idle engine runs at once."""
 
     max_batch_size: int = 16
+    """The most requests one forward serves."""
+
     record_batches: bool = False
+    """Keep each executed batch's request ids, so
+    :func:`~repro.serve.replay.verify_replay` can re-run it."""
+
     autostart: bool = True
+    """Start the engines with the session (else :meth:`ServingSession.start`)."""
+
     engines: int = 1
+    """The thread fan-out; stays at its default under ``pool="process"``."""
+
     autoscale: Optional[AutoscalePolicy] = None
+    """Grow and shrink the pool between the policy's
+    ``min_engines``/``max_engines`` from observed queue depth, under
+    either pool kind. The count field then stays at its default or
+    agrees with ``min_engines``."""
+
     backend: str = "float"
+    """The execution path: ``"float"`` serves the reconstructed-weight
+    model; ``"integer"`` serves the packed CQW1 codes with integer MACs
+    (:mod:`repro.serve.integer` — requires an artifact source, and
+    answers agree with the float backend within the derived rescale
+    bound checked by :func:`~repro.serve.replay.verify_replay`)."""
+
     max_pending: Optional[int] = None
+    """Each engine's budget of admitted-but-unanswered work: a submit
+    beyond it raises :class:`~repro.serve.engine.QueueFull` (counted in
+    ``ServeStats.rejected``) instead of growing the queue — the
+    load-shedding contract the gateway maps to HTTP 429. ``None`` keeps
+    the queue unbounded."""
+
     pool: str = "thread"
+    """Where engines run: ``"thread"`` serves in-process worker threads;
+    ``"process"`` serves from worker processes mapping one
+    shared-memory copy of the artifact
+    (:class:`~repro.serve.procpool.ProcessPlacement`) — true parallel
+    forwards instead of GIL-shared ones."""
+
     workers: int = 2
+    """The process fan-out; stays at its default under ``pool="thread"``."""
 
 
 def resolve_policy(config: ServeConfig, bare_model: bool = False) -> AutoscalePolicy:
@@ -205,14 +217,7 @@ class ServingSession:
         placement_type = ProcessPlacement if config.pool == "process" else ThreadPlacement
         try:
             placement = placement_type(
-                source if bare else self.artifact,
-                cache,
-                backend=config.backend,
-                batch_window_s=config.batch_window_s,
-                max_batch_size=config.max_batch_size,
-                record_batches=config.record_batches,
-                max_pending=config.max_pending,
-                first_lease=first,
+                source if bare else self.artifact, cache, config, first_lease=first
             )
             self._pool = EnginePool(placement, policy, autostart=config.autostart)
         except BaseException:

@@ -102,6 +102,132 @@ class TestSweepArguments:
             main(["sweep", "--seeds", ","])
 
 
+_TRACE_CHOICES = ("uniform", "poisson", "bursty", "diurnal", "backlog")
+_BACKENDS = ("float", "integer")
+
+#: Every option of the serving commands, keyed by its option strings
+#: (the positional by its dest): (action kind, dest, type, default,
+#: choices, required, nargs). Help texts are free to change; nothing
+#: else is.
+SERVING_CLI_SNAPSHOT = {
+    "serve": {
+        ("-h", "--help"): ("_HelpAction", "help", None, "==SUPPRESS==", None, False, 0),
+        ("--artifact",): ("_StoreAction", "artifact", None, None, None, True, None),
+        ("--requests",): ("_StoreAction", "requests", "int", 64, None, False, None),
+        ("--concurrency",): ("_StoreAction", "concurrency", "int", 4, None, False, None),
+        ("--batch-window-ms",): ("_StoreAction", "batch_window_ms", "float", 2.0, None, False, None),
+        ("--max-batch",): ("_StoreAction", "max_batch", "int", 16, None, False, None),
+        ("--engines",): ("_StoreAction", "engines", "int", 1, None, False, None),
+        ("--processes",): ("_StoreAction", "processes", "int", 0, None, False, None),
+        ("--repeat",): ("_StoreAction", "repeat", "int", 1, None, False, None),
+        ("--no-verify",): ("_StoreTrueAction", "no_verify", None, False, None, False, 0),
+        ("--trace",): ("_StoreAction", "trace", None, "backlog", _TRACE_CHOICES, False, None),
+        ("--rate",): ("_StoreAction", "rate", "float", 200.0, None, False, None),
+        ("--trace-seed",): ("_StoreAction", "trace_seed", "int", 0, None, False, None),
+        ("--burst-factor",): ("_StoreAction", "burst_factor", "float", 8.0, None, False, None),
+        ("--duty",): ("_StoreAction", "duty", "float", 0.2, None, False, None),
+        ("--slo-ms",): ("_StoreAction", "slo_ms", "float", None, None, False, None),
+        ("--autoscale",): ("_StoreTrueAction", "autoscale", None, False, None, False, 0),
+        ("--max-engines",): ("_StoreAction", "max_engines", "int", 4, None, False, None),
+        ("--chaos",): ("_StoreTrueAction", "chaos", None, False, None, False, 0),
+        ("--backend",): ("_StoreAction", "backend", None, "float", _BACKENDS, False, None),
+    },
+    "gateway": {
+        ("-h", "--help"): ("_HelpAction", "help", None, "==SUPPRESS==", None, False, 0),
+        "artifacts": ("_StoreAction", "artifacts", None, None, None, True, "+"),
+        ("--host",): ("_StoreAction", "host", None, "127.0.0.1", None, False, None),
+        ("--port",): ("_StoreAction", "port", "int", 8707, None, False, None),
+        ("--backend",): ("_StoreAction", "backend", None, "float", _BACKENDS, False, None),
+        ("--engines",): ("_StoreAction", "engines", "int", 1, None, False, None),
+        ("--autoscale",): ("_StoreTrueAction", "autoscale", None, False, None, False, 0),
+        ("--max-engines",): ("_StoreAction", "max_engines", "int", 4, None, False, None),
+        ("--budget",): ("_StoreAction", "budget", "int", 256, None, False, None),
+        ("--max-pending",): ("_StoreAction", "max_pending", "int", None, None, False, None),
+        ("--batch-window-ms",): ("_StoreAction", "batch_window_ms", "float", 2.0, None, False, None),
+        ("--max-batch",): ("_StoreAction", "max_batch", "int", 16, None, False, None),
+        ("--preload",): ("_StoreTrueAction", "preload", None, False, None, False, 0),
+    },
+    "predict": {
+        ("-h", "--help"): ("_HelpAction", "help", None, "==SUPPRESS==", None, False, 0),
+        ("--artifact",): ("_StoreAction", "artifact", None, None, None, False, None),
+        ("--url",): ("_StoreAction", "url", None, None, None, False, None),
+        ("--input",): ("_StoreAction", "input", None, None, None, True, None),
+        ("--key",): ("_StoreAction", "key", None, "images", None, False, None),
+        ("--output",): ("_StoreAction", "output", None, None, None, False, None),
+        ("--max-batch",): ("_StoreAction", "max_batch", "int", 32, None, False, None),
+        ("--backend",): ("_StoreAction", "backend", None, "float", _BACKENDS, False, None),
+    },
+}
+
+
+class TestServingFlagSnapshot:
+    """The serve, gateway and predict options are a public surface:
+    names, kinds, types, defaults and choices stay exactly as pinned,
+    whichever helper defines them."""
+
+    @staticmethod
+    def _options(command):
+        import argparse
+
+        from repro.cli import _build_parser
+
+        (subparsers,) = [
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        return {
+            tuple(action.option_strings) or action.dest: (
+                type(action).__name__,
+                action.dest,
+                None if action.type is None else action.type.__name__,
+                action.default,
+                None if action.choices is None else tuple(action.choices),
+                action.required,
+                action.nargs,
+            )
+            for action in subparsers.choices[command]._actions
+        }
+
+    @pytest.mark.parametrize("command", sorted(SERVING_CLI_SNAPSHOT))
+    def test_options_match_snapshot(self, command):
+        assert self._options(command) == SERVING_CLI_SNAPSHOT[command]
+
+    @pytest.mark.parametrize("command", sorted(SERVING_CLI_SNAPSHOT))
+    def test_help_formats(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert "--backend" in capsys.readouterr().out
+
+
+class TestServingConfigFromFlags:
+    def test_serving_flags_build_the_config(self):
+        from repro.cli import _build_parser, _serve_fields
+        from repro.serve import AutoscalePolicy, ServeConfig
+
+        def config(*argv):
+            return ServeConfig(**_serve_fields(_build_parser().parse_args(argv)))
+
+        assert config("serve", "--artifact", "m.cqw") == ServeConfig()
+        assert config("gateway", "m=m.cqw") == ServeConfig()
+        assert config(
+            "serve", "--artifact", "m.cqw", "--processes", "2", "--autoscale",
+            "--max-engines", "3", "--batch-window-ms", "0.5",
+        ) == ServeConfig(
+            batch_window_s=0.0005,
+            pool="process",
+            workers=2,
+            autoscale=AutoscalePolicy(min_engines=2, max_engines=3),
+        )
+        assert config(
+            "gateway", "m=m.cqw", "--engines", "2", "--max-pending", "8"
+        ) == ServeConfig(engines=2, max_pending=8)
+        assert config("predict", "--input", "x.npz", "--backend", "integer") == (
+            ServeConfig(max_batch_size=32, backend="integer")
+        )
+
+
 @pytest.fixture
 def preset_artifact(tmp_path, quantized_mlp_factory):
     """A serving artifact of an untrained tiny-scale MLP preset on disk.

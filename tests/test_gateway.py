@@ -40,6 +40,7 @@ from repro.runner.registry import build_units
 from repro.serve.artifact import compile_artifact, save_artifact
 from repro.serve.pool import AutoscalePolicy
 from repro.serve.replay import replay_trace, verify_replay
+from repro.serve.session import ServeConfig
 from repro.serve.trace import TraceConfig, generate_trace
 
 
@@ -144,17 +145,19 @@ class TestRegistry:
     def test_spec_passes_engines_through_and_conflicts_raise_at_register(
         self, mlp_artifact
     ):
-        """Regression: serve_config() used to rewrite ``engines`` to 1
-        for process and autoscaled specs, so the gateway served a
-        different fan-out than ``/v1/artifacts`` reported. Fields now
-        pass through unchanged, and a conflicting spec is refused at
+        """Regression: the spec's serve config used to rewrite
+        ``engines`` to 1 for process and autoscaled specs, so the
+        gateway served a different fan-out than ``/v1/artifacts``
+        reported. The spec is now its own ServeConfig, so fields pass
+        through unchanged, and a conflicting spec is refused at
         register() with the resolver's ValueError."""
         process_spec = make_spec(mlp_artifact, engines=3, pool="process")
-        config = process_spec.serve_config()
+        config = process_spec
+        assert isinstance(config, ServeConfig)
         assert (config.engines, config.workers, config.pool) == (3, 2, "process")
         policy = AutoscalePolicy(min_engines=1, max_engines=2)
         autoscaled_spec = make_spec(mlp_artifact, engines=3, autoscale=policy)
-        assert autoscaled_spec.serve_config().engines == 3
+        assert autoscaled_spec.engines == 3
         with ArtifactRegistry() as registry:
             with pytest.raises(ValueError, match="workers"):
                 registry.register(process_spec)
@@ -165,6 +168,51 @@ class TestRegistry:
             registry.register(make_spec(mlp_artifact, engines=3), preload=True)
             (document,) = registry.describe()
             assert document["engines"] == document["live_engines"] == 3
+
+    def test_spec_describe_documents_are_pinned(self):
+        """``/v1/artifacts`` entry cores, byte for byte as served before
+        ArtifactSpec inherited its serving fields from ServeConfig."""
+        import json
+
+        specs = [
+            ArtifactSpec(name="mlp", source="models/mlp.cqw"),
+            ArtifactSpec(
+                name="auto",
+                source="m.cqw",
+                backend="integer",
+                engines=2,
+                autoscale=AutoscalePolicy(min_engines=2, max_engines=3),
+                max_pending=8,
+                pending_budget=64,
+                batch_window_s=0.001,
+                max_batch_size=4,
+            ),
+            ArtifactSpec(
+                name="proc", source="m.cqw", pool="process", workers=3, retry_after_s=0.5
+            ),
+        ]
+        assert [json.dumps(spec.describe(), allow_nan=False) for spec in specs] == [
+            '{"name": "mlp", "source": "models/mlp.cqw", "backend": "float", '
+            '"engines": 1, "autoscale": null, "max_pending": null, '
+            '"pending_budget": 256, "pool": "thread", "workers": 2}',
+            '{"name": "auto", "source": "m.cqw", "backend": "integer", '
+            '"engines": 2, "autoscale": {"min_engines": 2, "max_engines": 3, '
+            '"scale_up_depth": 8.0, "scale_down_depth": 1.0, "cooldown_s": 0.25, '
+            '"interval_s": 0.02}, "max_pending": 8, "pending_budget": 64, '
+            '"pool": "thread", "workers": 2}',
+            '{"name": "proc", "source": "m.cqw", "backend": "float", '
+            '"engines": 1, "autoscale": null, "max_pending": null, '
+            '"pending_budget": 256, "pool": "process", "workers": 3}',
+        ]
+
+    def test_register_refuses_a_spec_that_never_starts(self, mlp_artifact):
+        """The spec inherits ``autostart`` from ServeConfig, but the
+        registry never starts a session: ``False`` is refused, not
+        ignored."""
+        with ArtifactRegistry() as registry:
+            with pytest.raises(ValueError, match="autostart"):
+                registry.register(make_spec(mlp_artifact, autostart=False))
+            assert registry.names() == []
 
     def test_lazy_load_unload_reload(self, mlp_artifact):
         with ArtifactRegistry() as registry:
@@ -493,6 +541,7 @@ class TestAdmissionOverHTTP:
         finally:
             server.close(drain=True)
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_graceful_drain_completes_inflight(self, mlp_artifact, monkeypatch):
         registry = ArtifactRegistry()
         registry.register(
@@ -514,10 +563,15 @@ class TestAdmissionOverHTTP:
         monkeypatch.setattr(engine._model, "forward", gated_forward)
         server.start()
         results = []
+        hang_up = threading.Event()
 
         def post():
+            # Each client keeps its keep-alive connection open until
+            # the server has closed, so close() must end the server's
+            # connection handlers itself.
             with GatewayClient(server.url) as client:
                 results.append(client.predict("mlp", np.zeros((3, 8, 8))))
+                hang_up.wait(10)
 
         threads = [threading.Thread(target=post) for _ in range(3)]
         for thread in threads:
@@ -528,11 +582,13 @@ class TestAdmissionOverHTTP:
             time.sleep(0.005)
         assert results == []
         server.close(drain=True)  # must wait them out, not drop them
+        hang_up.set()
         for thread in threads:
             thread.join()
-        # close() stops the loop with the drained connections' handler
-        # coroutines still pending; finalize them here, not inside some
-        # later import (a finalizer run mid-``ast.parse`` breaks it).
+        # A connection handler left pending when close() stops the loop
+        # would be finalized at GC, where its ``writer.close()`` raises
+        # "Event loop is closed" — an unraisable exception, which this
+        # test's warning filter turns into a failure.
         gc.collect()
         assert len(results) == 3
         assert all(result.shape == (4,) for result in results)

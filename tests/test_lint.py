@@ -379,6 +379,48 @@ def test_bare_except_skipped_for_test_paths():
 
 
 # ----------------------------------------------------------------------
+# unused-import
+# ----------------------------------------------------------------------
+def test_unused_import_flagged_per_name():
+    source = (
+        "import os.path\n"
+        "from typing import Dict, List as L\n"
+        "def f() -> Dict:\n"
+        "    return {}\n"
+    )
+    findings, _ = lint_source(LIB, source, rules=get_rules(["unused-import"]))
+    assert [(finding.line, finding.message) for finding in findings] == [
+        (1, "'os' is imported but never used"),
+        (2, "'L' is imported but never used"),
+    ]
+
+
+def test_used_imports_pass():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, Optional\n"
+        "from repro.serve import ServeConfig, resolve_policy\n"
+        "from repro.gateway import ArtifactSpec\n"
+        "__all__ = ['resolve_policy']\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.serve import ServingSession\n"
+        "def f(config: 'Optional[ServeConfig]', s: 'ServingSession'):\n"
+        "    spec: ArtifactSpec = None\n"
+        "    return np.zeros(1)\n"
+    )
+    assert rules_fired(LIB, source) == []
+
+
+def test_unused_import_pragma_and_package_init_exemption():
+    source = "import readline  # repro: allow(unused-import)\n"
+    findings, suppressed = lint_source(LIB, source)
+    assert findings == [] and suppressed == 1
+    assert rules_fired("src/repro/fixture/__init__.py", "import os\n") == []
+    assert rules_fired("examples/fixture.py", "import os\n") == []
+
+
+# ----------------------------------------------------------------------
 # Regression fixtures: the three satellite bugs stay re-detectable
 # ----------------------------------------------------------------------
 def test_redetects_global_rng_toy_unit():

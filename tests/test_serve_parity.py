@@ -299,11 +299,13 @@ class TestReplayHarness:
         from repro.serve import render_trace_replay
 
         _model, session, inputs, _dtype = served_setup
-        rows = cycle_inputs(inputs, 32)
+        # A replay long enough (~0.1 s) that one scheduler hiccup in a
+        # single request cannot reach half its wall.
+        rows = cycle_inputs(inputs, 1024)
         run = backlog_replay(session, rows, concurrency=2)
         batches = session.engine.executed_batches()
         assert batches and all(len(batch) <= 2 for batch in batches)
-        assert verify_replay(session, rows, run, expected=32) == 32
+        assert verify_replay(session, rows, run, expected=1024) == 1024
         # Latency runs from dispatch, not from the shared t=0 arrival,
         # so no request waited out half the replay.
         payload = run.payload

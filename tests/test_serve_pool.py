@@ -16,6 +16,7 @@ from repro.serve import (
     EnginePool,
     QueueFull,
     ReplayRun,
+    ServeConfig,
     ShutdownTimeout,
     ThreadPlacement,
     compile_artifact,
@@ -42,7 +43,7 @@ class SlowModel(Module):
 
 def fixed_pool(models, autostart=True, **engine_kwargs) -> EnginePool:
     """A fixed pool with one engine per bare model."""
-    placement = ThreadPlacement(models, **engine_kwargs)
+    placement = ThreadPlacement(models, None, ServeConfig(**engine_kwargs))
     count = len(models)
     return EnginePool(
         placement,
@@ -53,7 +54,7 @@ def fixed_pool(models, autostart=True, **engine_kwargs) -> EnginePool:
 
 def leased_pool(artifact, cache, policy, autostart=True, **engine_kwargs) -> EnginePool:
     """A pool whose engines lease clones of ``artifact`` from ``cache``."""
-    placement = ThreadPlacement(artifact, cache, **engine_kwargs)
+    placement = ThreadPlacement(artifact, cache, ServeConfig(**engine_kwargs))
     return EnginePool(placement, policy, autostart=autostart)
 
 
@@ -609,7 +610,7 @@ class TestChaosContract:
         # Rows queued before start() are a backlog that dwells in the
         # engines' batching window, so the kill strands some of them.
         placement = placement_type(
-            mlp_artifact, cache, batch_window_s=0.25, record_batches=True
+            mlp_artifact, cache, ServeConfig(batch_window_s=0.25, record_batches=True)
         )
         pool = EnginePool(placement, policy, autostart=False)
         try:

@@ -58,7 +58,7 @@ def process_pool(
 ) -> EnginePool:
     """An EnginePool of worker processes (fixed at ``workers`` unless a
     ``policy`` is given)."""
-    placement = ProcessPlacement(artifact, cache, **worker_kwargs)
+    placement = ProcessPlacement(artifact, cache, ServeConfig(**worker_kwargs))
     if policy is None:
         policy = AutoscalePolicy(min_engines=workers, max_engines=workers)
     return EnginePool(placement, policy, autostart=autostart)
@@ -67,7 +67,7 @@ def process_pool(
 def placement_pool(kind, artifact, cache, autostart=True, **engine_kwargs) -> EnginePool:
     """A one-engine pool of either placement over ``artifact``."""
     placement_type = ProcessPlacement if kind == "process" else ThreadPlacement
-    placement = placement_type(artifact, cache, **engine_kwargs)
+    placement = placement_type(artifact, cache, ServeConfig(**engine_kwargs))
     policy = AutoscalePolicy(min_engines=1, max_engines=1)
     return EnginePool(placement, policy, autostart=autostart)
 
