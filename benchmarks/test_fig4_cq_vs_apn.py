@@ -12,7 +12,6 @@ small-scale substrate):
 - accuracy is monotone-ish in the bit budget for CQ.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once

@@ -6,7 +6,6 @@ paper: CQ is competitive at every setting and its accuracy is stable
 across activation bit-widths.
 """
 
-import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.experiments import fig5

@@ -8,7 +8,6 @@ bit-widths, and each distribution's weighted mean equals the measured
 average bit-width.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once

@@ -39,29 +39,11 @@ from repro.gateway import (
 )
 from repro.serve import ReplayRun, ServeConfig, ServingSession, cycle_inputs, verify_replay
 from repro.serve.replay import build_uniform_artifact
+from tests.conftest import reassociation_atol
 
 REQUESTS = 96
 CLIENTS = 8
 MAX_WALL_RATIO = 3.0  # recorded floor: wire must stay under 3x in-process
-
-
-def reassociation_atol(model, outputs: np.ndarray) -> float:
-    """How far two evaluations of ``model`` on different batch
-    compositions may differ in the dtype of ``outputs``.
-
-    The GEMMs sum each output in an order that depends on the batch
-    size, and a reordered sum of ``n`` terms typically moves by
-    ``sqrt(n)`` ulps of its magnitude. Each weighted layer adds such a
-    term (``n`` is its fan-in); the total is scaled to the largest
-    logit, the magnitude the last layer's sums carry.
-    """
-    eps = float(np.finfo(outputs.dtype).eps)
-    ulps = sum(
-        np.sqrt(np.prod(param.data.shape[1:]))
-        for _, param in model.named_parameters()
-        if param.data.ndim > 1
-    )
-    return eps * float(ulps) * float(np.abs(outputs).max())
 
 
 def _inprocess_round(artifact, inputs):

@@ -28,7 +28,6 @@ bursts), so the fixed pool falls behind on any machine, fast or slow.
 import os
 import time
 
-import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.analysis.render import ascii_table

@@ -679,22 +679,23 @@ def _run_serve(args) -> int:
 def _run_gateway(args) -> int:
     from repro.gateway import ArtifactRegistry, ArtifactSpec, GatewayServer
 
-    fields = _serve_fields(args)
     specs = []
-    for pair in args.artifacts:
-        name, sep, path = pair.partition("=")
-        if not sep or not name or not path:
-            print(
-                f"gateway: artifact must look like name=path, got {pair!r}",
-                file=sys.stderr,
-            )
-            return 2
-        specs.append(
-            ArtifactSpec(name=name, source=path, pending_budget=args.budget, **fields)
-        )
     registry = ArtifactRegistry()
-    for spec in specs:
-        registry.register(spec, preload=args.preload)
+    try:
+        fields = _serve_fields(args)
+        for pair in args.artifacts:
+            name, sep, path = pair.partition("=")
+            if not sep or not name or not path:
+                raise ValueError(f"artifact must look like name=path, got {pair!r}")
+            specs.append(
+                ArtifactSpec(name=name, source=path, pending_budget=args.budget, **fields)
+            )
+        for spec in specs:
+            registry.register(spec, preload=args.preload)
+    except ValueError as error:
+        registry.close()
+        print(f"gateway: {error}", file=sys.stderr)
+        return 2
     server = GatewayServer(registry, host=args.host, port=args.port)
     try:
         server.start()

@@ -27,6 +27,17 @@ bias), matching the fake-quantized semantics.
 
 Use :func:`integer_mode` to run any fake-quantized model with integer
 MACs, or :func:`verify_integer_equivalence` to assert both paths agree.
+
+**Served parity bound.** A served integer model
+(``ServeConfig(backend="integer")``) is checked against a float64 build
+of the float model by :func:`verify_integer_parity`, within the derived
+rescale bound of :func:`integer_parity_rtol`: both sides accumulate the
+same products regrouped (``sum((s_f*c + lower) * x)`` vs
+``s_f*sum(c*x) + lower*sum(x)``), so the only disagreement is float64
+reassociation error, which standard rounding analysis bounds by the
+accumulation lengths the export records. Pruned 0-bit filters output
+exactly ``bias`` on both paths. The derivation lives in
+``docs/architecture.md`` (Serving → Integer backend).
 """
 
 from __future__ import annotations
@@ -371,24 +382,6 @@ def _integer_closure(spec: IntegerLayerSpec):
     return forward
 
 
-def install_integer_forwards(
-    model: Module, specs: Mapping[str, IntegerLayerSpec]
-) -> None:
-    """Shadow each named quantized layer's ``forward`` with its spec.
-
-    The instance attribute shadows the class ``forward`` (``__call__``
-    picks it up) and overwrites any closure already installed, such as
-    one a ``deepcopy`` carried over from a clone source.
-    :func:`integer_mode` takes its closures off again on exit.
-    """
-    layers = quantized_layers(model)
-    missing = set(specs) - set(layers)
-    if missing:
-        raise ValueError(f"model lacks quantized layers {sorted(missing)}")
-    for name, spec in specs.items():
-        object.__setattr__(layers[name], "forward", _integer_closure(spec))
-
-
 def _remove_forwards(layers: Mapping[str, Module]) -> None:
     for layer in layers.values():
         if "forward" in layer.__dict__:
@@ -414,7 +407,9 @@ def integer_mode(model: Module):
         raise ValueError("model has no quantized layers to compile")
     specs = {name: compile_integer_layer(layer, name) for name, layer in layers.items()}
     try:
-        install_integer_forwards(model, specs)
+        for name, spec in specs.items():
+            # The instance attribute shadows the class forward.
+            object.__setattr__(layers[name], "forward", _integer_closure(spec))
         yield specs
     finally:
         _remove_forwards(layers)
@@ -463,29 +458,40 @@ def capture_quantized_inputs(
     return output, captured
 
 
-def diagnose_integer_equivalence(
-    model: Module, inputs: np.ndarray
-) -> List[Tuple[str, float]]:
-    """Per-layer max abs error of integer vs fake-quantized execution.
+def _layer_errors(
+    model: Module, inputs: np.ndarray, specs: Mapping[str, IntegerLayerSpec]
+) -> List[Tuple[str, float, float]]:
+    """``(name, max abs error, max abs reference output)`` per spec.
 
-    Each quantized layer is compiled and run on the input the reference
-    forward actually fed it, so a disagreement is attributed to the
-    layer that computes differently — not to wherever the divergence
-    surfaces downstream.
+    Each spec runs on the input the reference forward actually fed its
+    layer, so a disagreement is attributed to the layer that computes
+    differently — not to wherever the divergence surfaces downstream.
     """
     from repro.tensor.tensor import no_grad
 
     _, captured = capture_quantized_inputs(model, inputs)
-    report: List[Tuple[str, float]] = []
-    for name, layer in quantized_layers(model).items():
-        spec = compile_integer_layer(layer, name)
+    layers = quantized_layers(model)
+    report: List[Tuple[str, float, float]] = []
+    for name, spec in specs.items():
+        if name not in captured:
+            continue
         x = captured[name]
         with no_grad():
-            reference = layer(Tensor(x)).data
-        got = integer_forward(spec, x)
+            reference = layers[name](Tensor(x)).data
+        got = integer_forward(spec.lease_copy(), x)
         error = float(np.max(np.abs(reference - got))) if reference.size else 0.0
-        report.append((name, error))
+        magnitude = float(np.max(np.abs(reference))) if reference.size else 0.0
+        report.append((name, error, magnitude))
     return report
+
+
+def diagnose_integer_equivalence(
+    model: Module, inputs: np.ndarray
+) -> List[Tuple[str, float]]:
+    """Per-layer max abs error of integer vs fake-quantized execution
+    (each layer compiled live and run on its captured input)."""
+    specs = {name: compile_integer_layer(layer, name) for name, layer in quantized_layers(model).items()}
+    return [(name, error) for name, error, _ in _layer_errors(model, inputs, specs)]
 
 
 def verify_integer_equivalence(
@@ -525,3 +531,88 @@ def verify_integer_equivalence(
             f"(max abs error {layer_error:.3e})"
         )
     return equivalent, difference
+
+
+#: Safety factor of the derived parity bound. The first-order rounding
+#: analysis (see docs) bounds per-layer reassociation error by
+#: ``~(n_macs + 4) * eps`` relative to the accumulated magnitude;
+#: the factor absorbs the magnitude ratio between hidden activations
+#: and the logits the bound is normalized against (batch norm keeps the
+#: presets' activations O(1-10)) plus propagation through the float
+#: tail layers.
+INTEGER_PARITY_SAFETY = 256.0
+
+
+def integer_parity_rtol(export) -> float:
+    """The derived rescale bound (relative) for one
+    :class:`~repro.quant.export.QuantizedExport`.
+
+    ``SAFETY * eps64 * sum_layers(macs_per_output + 4)``: each layer
+    contributes one length-``n`` dot product per output (the regrouped
+    accumulations) plus a handful of scale/bias post-ops. Compared as
+    ``|y_int - y_float| <= rtol * max(1, max|y_float|)``.
+    """
+    eps = float(np.finfo(np.float64).eps)
+    terms = 0
+    for layer in export.layers.values():
+        shape = tuple(layer.weight_shape)
+        macs = int(np.prod(shape[1:])) if len(shape) > 1 else 0
+        terms += macs + 4
+    return INTEGER_PARITY_SAFETY * eps * float(terms)
+
+
+class IntegerBackendParityError(AssertionError):
+    """A served integer model's output exceeded the derived rescale bound.
+
+    The message names the first offending layer and its max abs error
+    (mirroring ``verify_export(strict=True)``)."""
+
+
+def verify_integer_parity(
+    integer_model, reference: Module, inputs: np.ndarray, rtol: Optional[float] = None
+) -> float:
+    """Check a served integer model's outputs against the float model's.
+
+    ``integer_model`` is callable on a :class:`Tensor` and carries its
+    ``specs`` and derived ``parity_rtol`` (a served integer plan).
+    Asserts ``|y_int - y_float| <= rtol * max(1, max|y_float|)`` with
+    that bound (or an explicit ``rtol``). On failure, replays each spec
+    on the input the float reference fed its layer, and raises
+    :class:`IntegerBackendParityError` naming the first layer whose own
+    output breaks its bound. Returns the observed max abs difference on
+    success. ``reference`` must compute in float64 (a ``ValueError``
+    otherwise): the bound is derived at float64 eps, and a float32
+    model's own rounding would dwarf it.
+    """
+    from repro.tensor.tensor import no_grad
+
+    reference_dtype = next(iter(reference.parameters())).data.dtype
+    if reference_dtype != np.float64:
+        raise ValueError(
+            f"the float reference must compute in float64, not "
+            f"{reference_dtype}; build it with "
+            "build_serving_model(artifact, dtype=np.float64)"
+        )
+    rtol = integer_model.parity_rtol if rtol is None else float(rtol)
+    x = np.asarray(inputs, dtype=np.float64)
+    with no_grad():
+        got = integer_model(Tensor(x)).data
+        expected = reference(Tensor(x)).data
+    tolerance = rtol * max(1.0, float(np.max(np.abs(expected))))
+    difference = float(np.max(np.abs(got - expected))) if expected.size else 0.0
+    if difference <= tolerance:
+        return difference
+    for name, error, magnitude in _layer_errors(reference, x, integer_model.specs):
+        if error > rtol * max(1.0, magnitude):
+            raise IntegerBackendParityError(
+                f"integer backend disagrees with the float engine beyond "
+                f"the rescale bound: layer {name!r} max abs error "
+                f"{error:.3e} (bound {rtol * max(1.0, magnitude):.3e}); model "
+                f"output error {difference:.3e} (bound {tolerance:.3e})"
+            )
+    raise IntegerBackendParityError(
+        f"integer backend disagrees with the float engine beyond the "
+        f"rescale bound at the model output: max abs error "
+        f"{difference:.3e} (bound {tolerance:.3e}); no single layer "
+        f"exceeds its own bound (accumulated cross-layer drift)"
+    )

@@ -23,9 +23,9 @@ those knobs combine);
 driver over a seeded :class:`~repro.serve.trace.TrafficTrace` —
 open-loop arrivals, or a ``backlog`` drained by capped closed-loop
 clients — and the sweepable ``serve-replay`` benchmark unit.
-``ServeConfig(backend="integer")`` swaps the reconstructed-float forwards for direct integer-MAC
-execution of the packed codes (:mod:`~repro.serve.integer`), parity
-checked against the float engine within a derived rescale bound.
+Engines forward a compiled channel-last :class:`~repro.serve.plan.ServingPlan`;
+``ServeConfig(backend="integer")`` runs the packed codes with integer
+MACs in the same plan, within a derived rescale bound of the float model.
 
 Design doc: ``docs/architecture.md`` (Serving section).
 """
@@ -59,14 +59,13 @@ from repro.serve.engine import (
     ShutdownTimeout,
     combine_serve_stats,
 )
-from repro.serve.integer import (
+from repro.quant.integer import (
     INTEGER_PARITY_SAFETY,
     IntegerBackendParityError,
-    IntegerServingModel,
-    compile_integer_serving,
     integer_parity_rtol,
     verify_integer_parity,
 )
+from repro.serve.plan import ServingPlan, compile_integer_serving, compile_plan
 from repro.serve.pool import (
     AutoscaleDecider,
     AutoscalePolicy,
@@ -104,7 +103,6 @@ __all__ = [
     "INTEGER_PARITY_SAFETY",
     "InferenceEngine",
     "IntegerBackendParityError",
-    "IntegerServingModel",
     "ModelLease",
     "PendingPrediction",
     "ProcessPlacement",
@@ -118,6 +116,7 @@ __all__ = [
     "ServeStats",
     "SharedArtifactSegment",
     "ServingArtifact",
+    "ServingPlan",
     "ServingSession",
     "ShutdownTimeout",
     "TRACE_KINDS",
@@ -128,6 +127,7 @@ __all__ = [
     "build_serving_model",
     "combine_serve_stats",
     "compile_artifact",
+    "compile_plan",
     "compile_integer_serving",
     "cycle_inputs",
     "generate_trace",

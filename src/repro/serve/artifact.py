@@ -36,16 +36,13 @@ predictions with:
 
 * **Artifact cache, copy-on-lease.** :class:`ArtifactCache` is a
   content-hash-keyed LRU over *built* artifacts: loading the same
-  bitstream bytes twice parses and reconstructs once. The cached
-  :class:`ServingArtifact` keeps one pristine **prototype** model;
-  engines never serve it directly. Instead :meth:`ArtifactCache.lease`
-  hands each caller a :class:`ModelLease` holding a private clone of
-  the prototype (deep copy of the parameter/buffer arrays; the parsed
-  codes and manifest stay shared — they are immutable), so N engines
-  can serve one cached artifact with zero shared mutable state.
-  Leases are refcounted: :meth:`ModelLease.release` returns the claim,
-  and eviction skips entries with active leases so the clone source
-  survives its tenants.
+  bytes twice parses and reconstructs once. Engines never serve the
+  cached prototype; :meth:`ArtifactCache.lease` hands each caller a
+  :class:`ModelLease` holding a private clone of it — a compiled
+  :class:`~repro.serve.plan.ServingPlan` sharing its read-only arrays,
+  or a deep-copied Module for float64 compute — so N engines share no
+  mutable state. Leases are refcounted, and eviction skips entries
+  with active leases so the clone source survives its tenants.
 """
 
 from __future__ import annotations
@@ -77,6 +74,7 @@ from repro.quant.packing import (
     serialize_export,
 )
 from repro.quant.qmodules import quantize_model, quantized_layers
+from repro.serve.plan import ServingPlan, compile_integer_serving, compile_plan
 from repro.utils.misc import clone_module
 
 SIDECAR_MAGIC = b"CQS1"
@@ -294,8 +292,8 @@ class ServingArtifact:
     shared_nbytes: int = 0
     """Bytes of :attr:`data` backed by a shared-memory mapping rather
     than process-private memory. ``nbytes`` for zero-copy loads, 0 for
-    plain byte loads; reconstructed float weights are always a private
-    copy per process and are not counted here."""
+    plain byte loads; compiled models are always private to their
+    process and are not counted here."""
 
     payload_nbytes: int = 0
     """Bytes of the CQW1 frames (the paper's storage figure, physical)."""
@@ -307,7 +305,8 @@ class ServingArtifact:
     """Storage dtype the sidecar tensors were framed in."""
 
     _model: Optional[Module] = field(default=None, repr=False)  # guarded-by: _model_lock
-    _integer_model: Optional[object] = field(default=None, repr=False)  # guarded-by: _model_lock
+    _integer_model: Optional[ServingPlan] = field(default=None, repr=False)  # guarded-by: _model_lock
+    _plan: Optional[ServingPlan] = field(default=None, repr=False)  # guarded-by: _model_lock
     _model_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -333,34 +332,47 @@ class ServingArtifact:
     def integer_model(self):
         """The compiled integer-backend prototype (built once, lazily).
 
-        An :class:`~repro.serve.integer.IntegerServingModel` whose layer
-        specs execute the packed CQW1 codes directly — no float weight
-        reconstruction. Built on the first integer lease (float-only
-        deployments never pay for it); the same prototype/clone contract
-        as :meth:`model` applies.
+        A :class:`~repro.serve.plan.ServingPlan` whose quantized layers
+        execute the packed CQW1 codes directly (its ``specs``) — no float
+        weight reconstruction. Built on the first integer lease
+        (float-only deployments never pay for it).
         """
         with self._model_lock:
             if self._integer_model is None:
-                from repro.serve.integer import compile_integer_serving
-
                 self._integer_model = compile_integer_serving(self)
             return self._integer_model
 
-    def clone_model_for(self, backend: str):
-        """A private, bit-identical clone of the ``backend`` prototype.
+    def served_model(self, backend: str):
+        """The prototype a ``backend`` engine serves (do not serve it
+        directly where leases may be cut from it).
 
-        This is the copy-on-lease primitive behind
-        :meth:`ArtifactCache.lease`. A float clone deep-copies parameter
-        and buffer arrays; an integer clone shares the immutable code
-        arrays and keeps per-spec accumulator statistics private. The
-        parsed codes, manifest and serialized bytes stay shared through
-        this artifact (they are immutable after parse).
+        Integer, and float at a float32 compute dtype: a compiled
+        :class:`~repro.serve.plan.ServingPlan`. Float64 compute (float64,
+        CQS1 and mixed sidecars) serves :meth:`model` itself, the path
+        that stays bitwise with the original fake-quantized model.
         """
-        if backend == "float":
-            return clone_module(self.model())
         if backend == "integer":
-            return self.integer_model().clone()
-        raise ValueError(f"unknown serving backend {backend!r}")
+            return self.integer_model()
+        if backend != "float":
+            raise ValueError(f"unknown serving backend {backend!r}")
+        model = self.model()
+        if self.compute_dtype != np.float32:
+            return model
+        with self._model_lock:
+            if self._plan is None:
+                self._plan = compile_plan(model)
+            return self._plan
+
+    def clone_model_for(self, backend: str):
+        """A private, bit-identical clone of the ``backend`` prototype —
+        the copy-on-lease primitive behind :meth:`ArtifactCache.lease`.
+        A plan clone shares the plan's read-only arrays and keeps integer
+        accumulator stats private; a Module clone deep-copies its arrays.
+        """
+        prototype = self.served_model(backend)
+        if isinstance(prototype, ServingPlan):
+            return prototype.clone()
+        return clone_module(prototype)
 
     @property
     def private_nbytes(self) -> int:
@@ -475,9 +487,8 @@ class SharedArtifactSegment:
     :meth:`unlink` when the pool closes. Worker processes
     :meth:`attach` by name and :meth:`load` the artifact zero-copy —
     the CQW1/CQS2 parse reads straight out of the mapping, so N workers
-    share one physical copy of the serialized form while their
-    reconstructed float weights (or compiled integer specs) stay
-    process-private.
+    share one physical copy of the serialized form while their compiled
+    models stay process-private.
 
     Attaching can unregister the segment from the worker's
     ``resource_tracker`` (``untrack=True``): the parent owns the
@@ -574,20 +585,15 @@ def build_serving_model(
     The model computes in ``dtype``, by default the artifact's
     :attr:`~ServingArtifact.compute_dtype`. Weights are reconstructed in
     float64 and rounded once to ``dtype``. The returned model is in
-    ``eval()`` mode with weight
-    fake-quantization **disabled**: each quantized layer's weight holds
-    the dequantized codes directly, which is bit-exact with the
-    fake-quantized forward (see the module docstring's parity contract).
-    Activation quantization stays active, driven by the calibrated
-    ranges from the sidecar.
+    ``eval()`` mode with weight fake-quantization **disabled**: each
+    quantized layer's weight holds the dequantized codes directly, which
+    is bit-exact with the fake-quantized forward (see the module
+    docstring's parity contract). Activation quantization stays active,
+    driven by the calibrated ranges from the sidecar.
 
     With ``reconstruct_weights=False`` the quantized layers get zero
-    placeholder weights instead of dequantized codes: the *shell* the
-    integer backend shadows with :func:`~repro.quant.integer.integer_forward`
-    closures — the packed codes never round-trip through float weight
-    reconstruction there, and an accidental use of the shell's weights
-    produces loudly wrong (all-zero-weight) outputs rather than subtly
-    stale ones.
+    placeholder weights instead: the *shell* the integer backend
+    compiles its plan from, whose quantized weights are never read.
     """
     manifest = artifact.manifest
     from repro.experiments.presets import build_preset_model

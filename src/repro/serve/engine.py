@@ -33,10 +33,11 @@ placements execute batches through ``_forward_batch``.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
 #: Latency samples kept for percentile reporting (a bounded recency
@@ -96,7 +97,8 @@ class _InjectedCrash(BaseException):
 
 
 def _model_input_dtype(model: Module) -> np.dtype:
-    """The dtype the served model computes in (its parameters' dtype).
+    """The dtype the served model computes in: a compiled plan's
+    ``input_dtype``, else its parameters' dtype.
 
     Inputs are coerced to this before batching, so the engine never
     silently upcasts (or downcasts) relative to a direct forward — the
@@ -105,6 +107,8 @@ def _model_input_dtype(model: Module) -> np.dtype:
     Raises ``ValueError`` naming the first parameter whose dtype differs
     from the others': such a model has no one dtype to feed.
     """
+    if getattr(model, "input_dtype", None) is not None:
+        return model.input_dtype
     first = None
     for name, param in model.named_parameters():
         if first is None:
@@ -253,39 +257,31 @@ class ServeStats:
 
     def to_dict(self) -> Dict[str, object]:
         """Strict-JSON-able view of the counters (wire schema of the
-        gateway's ``/v1/stats``). Floats are finite by construction —
-        percentiles of an empty window are 0.0 — so the document dumps
-        under ``allow_nan=False``."""
-        return {
-            "requests": int(self.requests),
-            "completed": int(self.completed),
-            "errors": int(self.errors),
-            "cancelled": int(self.cancelled),
-            "rejected": int(self.rejected),
-            "forwards": int(self.forwards),
-            "coalesced_forwards": int(self.coalesced_forwards),
-            "batched_requests": int(self.batched_requests),
-            "mean_batch_size": float(self.mean_batch_size),
-            "max_batch_seen": int(self.max_batch_seen),
-            "max_queue_depth": int(self.max_queue_depth),
-            "total_forward_s": float(self.total_forward_s),
-            "latency_ms": {
-                "mean": float(self.mean_latency_s * 1e3),
-                "p50": float(self.latency_percentile(50) * 1e3),
-                "p95": float(self.latency_percentile(95) * 1e3),
-                "p99": float(self.latency_percentile(99) * 1e3),
-                "max": float(self.max_latency_s * 1e3),
-            },
-            "scale_ups": int(self.scale_ups),
-            "scale_downs": int(self.scale_downs),
-            "engine_deaths": int(self.engine_deaths),
-            "redispatched": int(self.redispatched),
-            "artifact_nbytes": int(self.artifact_nbytes),
-            "payload_nbytes": int(self.payload_nbytes),
-            "sidecar_nbytes": int(self.sidecar_nbytes),
-            "backend": str(self.backend),
-            "acc_bits_used": int(self.acc_bits_used),
+        gateway's ``/v1/stats``): every counter by its field name, with
+        the latency fields folded into ``latency_ms``. Floats are finite
+        by construction — percentiles of an empty window are 0.0 — so
+        the document dumps under ``allow_nan=False``."""
+        document: Dict[str, object] = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("total_latency_s", "max_latency_s", "latencies_s")
         }
+        document["mean_batch_size"] = float(self.mean_batch_size)
+        document["latency_ms"] = {
+            "mean": float(self.mean_latency_s * 1e3),
+            "p50": float(self.latency_percentile(50) * 1e3),
+            "p95": float(self.latency_percentile(95) * 1e3),
+            "p99": float(self.latency_percentile(99) * 1e3),
+            "max": float(self.max_latency_s * 1e3),
+        }
+        return document
+
+
+#: Fields :func:`combine_serve_stats` takes the maximum of (the rest add).
+_HIGH_WATER_FIELDS = frozenset({
+    "max_batch_seen", "max_queue_depth", "max_latency_s", "acc_bits_used",
+    "artifact_nbytes", "payload_nbytes", "sidecar_nbytes",
+})
 
 
 def combine_serve_stats(snapshots) -> "ServeStats":
@@ -303,28 +299,11 @@ def combine_serve_stats(snapshots) -> "ServeStats":
     snapshots = list(snapshots)
     window_share = max(1, LATENCY_WINDOW // max(1, len(snapshots)))
     merged = ServeStats()
+    counters = [f.name for f in fields(ServeStats) if f.name not in ("latencies_s", "backend")]
     for stats in snapshots:
-        merged.requests += stats.requests
-        merged.completed += stats.completed
-        merged.errors += stats.errors
-        merged.cancelled += stats.cancelled
-        merged.rejected += stats.rejected
-        merged.forwards += stats.forwards
-        merged.scale_ups += stats.scale_ups
-        merged.scale_downs += stats.scale_downs
-        merged.engine_deaths += stats.engine_deaths
-        merged.redispatched += stats.redispatched
-        merged.coalesced_forwards += stats.coalesced_forwards
-        merged.batched_requests += stats.batched_requests
-        merged.max_batch_seen = max(merged.max_batch_seen, stats.max_batch_seen)
-        merged.max_queue_depth = max(merged.max_queue_depth, stats.max_queue_depth)
-        merged.total_forward_s += stats.total_forward_s
-        merged.total_latency_s += stats.total_latency_s
-        merged.max_latency_s = max(merged.max_latency_s, stats.max_latency_s)
-        merged.artifact_nbytes = max(merged.artifact_nbytes, stats.artifact_nbytes)
-        merged.payload_nbytes = max(merged.payload_nbytes, stats.payload_nbytes)
-        merged.sidecar_nbytes = max(merged.sidecar_nbytes, stats.sidecar_nbytes)
-        merged.acc_bits_used = max(merged.acc_bits_used, stats.acc_bits_used)
+        for name in counters:
+            combine = max if name in _HIGH_WATER_FIELDS else operator.add
+            setattr(merged, name, combine(getattr(merged, name), getattr(stats, name)))
         merged.latencies_s.extend(list(stats.latencies_s)[-window_share:])
     backends = {stats.backend for stats in snapshots}
     if len(backends) == 1:

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -130,14 +130,7 @@ class AutoscalePolicy:
         return self.min_engines < self.max_engines
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "min_engines": self.min_engines,
-            "max_engines": self.max_engines,
-            "scale_up_depth": self.scale_up_depth,
-            "scale_down_depth": self.scale_down_depth,
-            "cooldown_s": self.cooldown_s,
-            "interval_s": self.interval_s,
-        }
+        return asdict(self)
 
 
 class AutoscaleDecider:
@@ -741,12 +734,14 @@ class EnginePool:
                     )
                 )
                 return
+            # Set before adopting: the new engine may answer at once, and
+            # the caller reads the index as soon as result() returns.
+            request.pending.engine_index = slot.index
             try:
                 slot.engine.adopt(request)
             except EngineClosed:
                 attempts += 1
                 continue
-            request.pending.engine_index = slot.index
             with self._lock:
                 self._redispatched += 1
             return

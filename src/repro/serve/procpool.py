@@ -17,11 +17,10 @@ Three design points carry the module:
   ever made) and workers attach by name, verify the content hash, and
   parse the CQW1/CQS2 container *in place* with ``np.frombuffer`` views
   over the mapping. N workers share one physical copy of the packed
-  codes; each worker's reconstructed float weights (or compiled integer
-  specs) are deliberately process-private. The placement owns the
-  segment name and unlinks it when the pool closes — after that,
-  attaching the name fails, which is exactly what the shm-leak test
-  asserts.
+  codes; each worker's compiled plan is deliberately process-private.
+  The placement owns the segment name and unlinks it when the pool
+  closes — after that, attaching the name fails, which is exactly what
+  the shm-leak test asserts.
 
 * **Pickle-free wire format.** Requests and answers travel over a
   duplex pipe as struct-framed binary messages
@@ -202,9 +201,8 @@ def _pool_worker_main(
                 f"expected {content_key}"
             )
         # Freshly parsed artifact: this process is the prototype's sole
-        # user, so it serves directly (no clone). build_serving_model
-        # already leaves it in eval mode.
-        model = artifact.integer_model() if backend == "integer" else artifact.model()
+        # user, so it serves directly (no clone), in eval mode.
+        model = artifact.served_model(backend)
         dtype = _model_input_dtype(model)
         conn.send_bytes(
             struct.pack("<BB", _MSG_READY, len(dtype.str)) + dtype.str.encode("ascii")

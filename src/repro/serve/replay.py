@@ -102,10 +102,10 @@ def verify_replay(
     is also run through a float64 build of the artifact's *float* model
     (whatever dtype the float backend serves it in) and the served
     answers must agree within the derived rescale bound
-    (:func:`~repro.serve.integer.verify_integer_parity` — failure names
+    (:func:`~repro.quant.integer.verify_integer_parity` — failure names
     the offending layer and max abs error).
     """
-    from repro.serve.integer import IntegerServingModel, verify_integer_parity
+    from repro.quant.integer import verify_integer_parity
     from repro.tensor.tensor import Tensor, no_grad
 
     inputs = np.asarray(inputs, dtype=session.input_dtype)  # what the engines served
@@ -125,7 +125,7 @@ def verify_replay(
     float_reference = None
     verified = 0
     for engine_index, engine, model in records:
-        integer_backend = isinstance(model, IntegerServingModel)
+        integer_backend = getattr(model, "serving_backend", "float") == "integer"
         if integer_backend and float_reference is None:
             if session.artifact is None:
                 raise ValueError(

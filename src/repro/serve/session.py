@@ -85,7 +85,7 @@ class ServeConfig:
     backend: str = "float"
     """The execution path: ``"float"`` serves the reconstructed-weight
     model; ``"integer"`` serves the packed CQW1 codes with integer MACs
-    (:mod:`repro.serve.integer` — requires an artifact source, and
+    (:mod:`repro.serve.plan` — requires an artifact source, and
     answers agree with the float backend within the derived rescale
     bound checked by :func:`~repro.serve.replay.verify_replay`)."""
 

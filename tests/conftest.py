@@ -10,6 +10,25 @@ from repro.train.trainer import Trainer
 from repro.data.dataset import ArrayDataset, DataLoader
 
 
+def reassociation_atol(model, outputs: np.ndarray) -> float:
+    """How far two evaluations of ``model`` on different batch
+    compositions may differ in the dtype of ``outputs``.
+
+    The GEMMs sum each output in an order that depends on the batch
+    size, and a reordered sum of ``n`` terms typically moves by
+    ``sqrt(n)`` ulps of its magnitude. Each weighted layer adds such a
+    term (``n`` is its fan-in); the total is scaled to the largest
+    logit, the magnitude the last layer's sums carry.
+    """
+    eps = float(np.finfo(outputs.dtype).eps)
+    ulps = sum(
+        np.sqrt(np.prod(param.data.shape[1:]))
+        for _, param in model.named_parameters()
+        if param.data.ndim > 1
+    )
+    return eps * float(ulps) * float(np.abs(outputs).max())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

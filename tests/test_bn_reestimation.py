@@ -19,7 +19,6 @@ from repro.nn.layers import (
 from repro.nn.module import Sequential
 from repro.quant import quantize_model, quantized_layers
 from repro.quant.bn import reestimate_batchnorm_stats
-from repro.tensor import Tensor
 from repro.utils import clone_module
 from tests.conftest import oracle_reestimate_batchnorm_stats, state_bytes
 

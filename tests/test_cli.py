@@ -386,6 +386,23 @@ class TestPredictCommand:
         assert "expected a batch" in capsys.readouterr().err
 
 
+class TestGatewayCommand:
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--engines", "0"], "engines must be >= 1, got 0"),
+            (
+                ["--autoscale", "--engines", "5", "--max-engines", "2"],
+                "max_engines (2) must be >= min_engines (5)",
+            ),
+        ],
+        ids=["no-engines", "ceiling-below-floor"],
+    )
+    def test_bad_fan_out_exits_2(self, capsys, flags, message):
+        assert main(["gateway", "m=m.cqw", "--port", "0", *flags]) == 2
+        assert capsys.readouterr().err == f"gateway: {message}\n"
+
+
 @pytest.mark.slow
 class TestCostCommand:
     def test_cost_mlp_end_to_end(self, capsys, tmp_path, monkeypatch):

@@ -519,7 +519,8 @@ def test_refine_epoch_matches_backward_oracles(arch, tiny_dataset, monkeypatch):
 #: on the host below. Other BLAS builds or CPUs may round differently.
 #: ``float`` is the float backend built in float64, which every sidecar
 #: served in before models computed in their sidecar's dtype; ``float32``
-#: is the float backend as the default float32 sidecar serves it.
+#: and ``integer`` are the compiled channel-last plans the default float32
+#: sidecar is served through on each backend.
 GOLDEN_HOST = {
     "numpy": "2.4.6",
     "blas": "0.3.31.188.0",
@@ -528,8 +529,8 @@ GOLDEN_HOST = {
 }
 GOLDEN_DIGESTS = {
     "float": "ad0d8f920b22508d181ddb9db6763f8a09507b801f10c9ce34f4aa9a667df028",
-    "float32": "84842297f606bbdbf8928f74bde0fa44925ff2671056f2390cc2ba91f9a2b021",
-    "integer": "8cea4e5ee89d8e61a99ed03d81e6f0caf3c8c594cafeaea7b483d6ec9c553581",
+    "float32": "38a0072821ee3d7fb1555c626cc8ace5dcf75e75207a357796d02ff7de054f24",
+    "integer": "b50e86fd06fc1af11a43c06b29da171553259a1316a7abc921dec55039aadc68",
 }
 
 
@@ -568,25 +569,32 @@ BACKEND_DTYPES = {"float": np.float64, "float32": np.float32, "integer": np.floa
 
 @pytest.mark.parametrize("backend", ["float", "float32", "integer"])
 class TestServedPreset:
-    def model(self, artifact, backend):
+    def module_outputs(self, artifact, images, backend):
+        """The Module form of ``backend``, on the kernels the oracles patch."""
         from repro.serve.artifact import build_serving_model
 
-        if backend == "float":
-            return build_serving_model(artifact, dtype=np.float64)
+        x = images.astype(BACKEND_DTYPES[backend])
         if backend == "float32":
-            assert artifact.compute_dtype == np.float32
-            return artifact.model()
-        return artifact.integer_model().clone()
+            return served_outputs(artifact.model(), x)
+        model = build_serving_model(artifact, dtype=np.float64)
+        if backend == "float":
+            return served_outputs(model, x)
+        with quant_integer.integer_mode(model):
+            return served_outputs(model, x)
 
     def outputs(self, artifact, images, backend):
-        model = self.model(artifact, backend)
+        """What an engine serves: the float64 Module or a compiled plan."""
+        if backend == "float":
+            return self.module_outputs(artifact, images, backend)
+        assert artifact.compute_dtype == np.float32
+        model = artifact.clone_model_for("float" if backend == "float32" else "integer")
         return served_outputs(model, images.astype(BACKEND_DTYPES[backend]))
 
     def test_matches_oracle_kernels(self, served_preset, backend, monkeypatch):
         artifact, images = served_preset
-        got = self.outputs(artifact, images, backend)
+        got = self.module_outputs(artifact, images, backend)
         patch_oracles(monkeypatch)
-        assert_bitwise(got, self.outputs(artifact, images, backend))
+        assert_bitwise(got, self.module_outputs(artifact, images, backend))
 
     def test_golden_digest(self, served_preset, backend):
         if host_fingerprint() != GOLDEN_HOST:

@@ -1,7 +1,5 @@
 """Tests for the Figure 5 experiment result container and rendering."""
 
-import numpy as np
-import pytest
 
 from repro.experiments.fig5 import BIT_SETTINGS, Fig5Result, render
 

@@ -7,7 +7,6 @@ training, so regressions in the harness output surface in seconds.
 from collections import OrderedDict
 
 import numpy as np
-import pytest
 
 from repro.core.config import CQConfig
 from repro.core.search import SearchResult, SearchStep
@@ -143,7 +142,6 @@ class TestFig7Render:
 
 class TestFig2Render:
     def test_render_histograms(self):
-        from repro.core.importance import ImportanceResult
         from repro.experiments.fig2 import Fig2Result, render
 
         histograms = OrderedDict(

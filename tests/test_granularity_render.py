@@ -1,6 +1,5 @@
 """Tests for the granularity experiment's result container and rendering."""
 
-from collections import OrderedDict
 
 from repro.experiments.granularity import GranularityResult, render
 from repro.hw.report import CostSummary

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.energy import FP32_BITS, EnergyModel, EnergyParams
+from repro.hw.energy import EnergyModel, EnergyParams
 from repro.hw.profile import profile_model
 from repro.models.vgg import VGGSmall
-from repro.quant.bitmap import BitWidthMap
 from repro.quant.qmodules import extract_bit_map, quantize_model
 
 

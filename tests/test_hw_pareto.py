@@ -1,6 +1,5 @@
 """Tests for repro.hw.pareto: frontier extraction, knee, hypervolume."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -8,7 +8,6 @@ from repro.models.mlp import MLP
 from repro.models.vgg import VGGSmall
 from repro.nn import Conv2d, Linear, Module, ReLU, Sequential
 from repro.quant.qmodules import quantize_model
-from repro.tensor.tensor import Tensor
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from repro.core.importance import (
 )
 from repro.models.mlp import MLP
 from repro.nn import Linear, Module, ReLU
-from repro.tensor import Tensor
 
 
 class TwoPathNet(Module):

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nn import init
 from repro.nn.layers import Linear
-from repro.nn.module import Module
 from repro.utils.misc import clone_module, set_global_seed
 
 

@@ -1,6 +1,5 @@
 """Slow integration tests: conv nets actually train, quantize and recover."""
 
-import numpy as np
 import pytest
 
 from repro.core import CQConfig, ClassBasedQuantizer

@@ -22,10 +22,8 @@ from repro.analysis.engine import (
     ALL_RULE_IDS,
     DEFAULT_CONFIG,
     Finding,
-    LintConfig,
     lint_paths,
     lint_source,
-    lint_unit,
     render_lint_unit,
 )
 from repro.analysis.report import render, render_json
@@ -454,13 +452,19 @@ def test_redetects_unstrict_checkpoint_metadata_dumps():
 
 
 # ----------------------------------------------------------------------
-# Dogfood: the library lints clean (the blocking CI contract)
+# Dogfood: the library, tests and benchmarks lint clean (the blocking CI contract)
 # ----------------------------------------------------------------------
 def test_src_repro_lints_clean():
     report = lint_paths([SRC])
     rendered = "\n".join(finding.render() for finding in report.findings)
     assert not report.findings, f"repro lint src/repro found:\n{rendered}"
     assert report.files > 90  # the walker actually visited the tree
+
+
+def test_tests_and_benchmarks_lint_clean():
+    report = lint_paths([REPO_ROOT / "tests", REPO_ROOT / "benchmarks"])
+    rendered = "\n".join(finding.render() for finding in report.findings)
+    assert not report.findings, f"repro lint tests/ benchmarks/ found:\n{rendered}"
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.core.distill import refine_quantized_model
 from repro.data import ArrayDataset, DataLoader
 from repro.quant.qmodules import quantized_layers
 from repro.train import evaluate_model
-from repro.utils import clone_module
 
 
 @pytest.fixture(scope="module")

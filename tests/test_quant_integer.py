@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.models.vgg import VGGSmall
 from repro.nn import Linear, Module
 from repro.quant.integer import (
-    IntegerLayerSpec,
     compile_integer_layer,
     integer_forward,
     integer_mode,

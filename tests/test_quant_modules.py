@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Conv2d, Flatten, Linear, Module, ReLU, Sequential
+from repro.nn import Conv2d, Flatten, Linear, ReLU, Sequential
 from repro.quant import (
     MinMaxObserver,
     QConv2d,

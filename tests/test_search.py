@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import CQConfig
-from repro.core.search import BitWidthSearch, SearchStep, assign_bits
+from repro.core.search import BitWidthSearch, assign_bits
 
 
 class TestAssignBits:

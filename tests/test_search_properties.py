@@ -3,7 +3,6 @@ score landscapes and evaluator behaviours, the invariants the rest of
 the pipeline depends on must hold."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sensitivity import (
-    SensitivityResult,
-    measure_layer_sensitivity,
-    render_sensitivity,
-)
+from repro.core.sensitivity import measure_layer_sensitivity, render_sensitivity
 from repro.tensor import Tensor, concatenate, stack
 from tests.conftest import finite_difference
 

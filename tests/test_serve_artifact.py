@@ -13,6 +13,7 @@ from repro.quant.qmodules import quantized_layers
 from repro.serve import (
     ArtifactCache,
     ArtifactManifest,
+    ServingPlan,
     compile_artifact,
     load_artifact,
     load_artifact_bytes,
@@ -247,8 +248,7 @@ class TestSidecarDtype:
             assert param.dtype == compute_dtype, name
         for name, buffer in artifact.model().named_buffers():
             assert buffer.dtype == compute_dtype, name
-        for _, param in artifact.integer_model().named_parameters():
-            assert param.dtype == np.float64
+        assert artifact.integer_model().input_dtype == np.float64
 
     def test_unknown_dtype_rejected(self, quantized_mlp):
         model, manifest = quantized_mlp
@@ -320,9 +320,23 @@ class TestServingModel:
         artifact = compile_artifact(model, manifest)
         assert artifact.model() is artifact.model()
 
-    def test_clone_model_is_private_and_bit_identical(self, quantized_mlp):
+    def test_clone_model_is_private_and_bit_identical(self, quantized_mlp, rng):
         model, manifest = quantized_mlp
+        # A float32 sidecar serves a compiled plan: its clones share the
+        # plan's read-only arrays and compute the same bits.
         artifact = compile_artifact(model, manifest)
+        plan = artifact.served_model("float")
+        clone = artifact.clone_model_for("float")
+        assert isinstance(clone, ServingPlan) and clone is not plan
+        assert clone.steps is plan.steps
+        assert not any(step.weight.flags.writeable for step in plan.steps)
+        batch = rng.standard_normal((5, 3, 8, 8)).astype(np.float32)
+        with no_grad():
+            np.testing.assert_array_equal(
+                clone(Tensor(batch)).data, plan(Tensor(batch)).data
+            )
+        # A float64 sidecar serves the Module itself: clones deep-copy it.
+        artifact = compile_artifact(model, manifest, sidecar_dtype="float64")
         prototype = artifact.model()
         clone = artifact.clone_model_for("float")
         assert clone is not prototype
@@ -537,8 +551,11 @@ class TestCopyOnLease:
         assert first.artifact is second.artifact
         assert first.model is not second.model
         assert first.model is not first.artifact.model()
-        for name, value in first.model.state_dict().items():
-            np.testing.assert_array_equal(second.model.state_dict()[name], value)
+        batch = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
+        with no_grad():
+            np.testing.assert_array_equal(
+                first.model(Tensor(batch)).data, second.model(Tensor(batch)).data
+            )
         # One parse+build, one hit, two live claims.
         assert cache.stats.misses == 1 and cache.stats.hits == 1
         assert cache.stats.leases == 2 and cache.active_leases() == 2

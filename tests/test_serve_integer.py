@@ -4,7 +4,7 @@
 directly — no float weight reconstruction — so the correctness contract
 is different from the float engine's bitwise self-parity: integer
 answers must agree with the float engine within the **derived rescale
-bound** of :func:`repro.serve.integer.integer_parity_rtol`
+bound** of :func:`repro.quant.integer.integer_parity_rtol`
 (docs/architecture.md, Serving → Integer backend), exactly where the
 arithmetic allows it (pruned 0-bit filters output exactly ``bias``).
 
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.quant.export import export_quantized_weights
-from repro.quant.integer import install_integer_forwards
 from repro.quant.packing import deserialize_export, serialize_export
 from repro.quant.qmodules import (
     calibrate_activations,
@@ -30,13 +29,12 @@ from repro.serve import (
     ArtifactCache,
     ArtifactManifest,
     IntegerBackendParityError,
-    IntegerServingModel,
-    ReplayRun,
     ServeConfig,
+    ServingPlan,
     ServingSession,
     TraceConfig,
-    compile_artifact,
     compile_integer_serving,
+    compile_plan,
     generate_trace,
     integer_parity_rtol,
     load_artifact,
@@ -156,7 +154,8 @@ class TestIntegerSessions:
             backend="integer",
         )
         with ServingSession(path, cache=ArtifactCache(), config=config) as session:
-            assert isinstance(session.model, IntegerServingModel)
+            assert isinstance(session.model, ServingPlan)
+            assert session.model.serving_backend == "integer"
             trace = generate_trace(
                 TraceConfig(kind="backlog", requests=len(inputs))
             )
@@ -375,10 +374,11 @@ class TestParityVerifier:
     def test_corrupted_codes_name_the_offending_layer(self, tmp_path):
         model, manifest = build_random_bits_model(max_bits=4)
         _path, artifact = saved_and_reloaded(model, manifest, tmp_path)
-        integer_model = artifact.clone_model_for("integer")
+        prototype = artifact.integer_model()
+        specs = {name: spec.lease_copy() for name, spec in prototype.specs.items()}
         # Sabotage one layer's codes: a huge code on an unpruned filter.
         victim = None
-        for name, spec in integer_model.specs.items():
+        for name, spec in specs.items():
             live = np.flatnonzero(np.asarray(spec.bits_per_filter) > 0)
             if live.size:
                 victim = name
@@ -386,8 +386,11 @@ class TestParityVerifier:
                 spec.codes[live[0]] += 10_000
                 break
         assert victim is not None
-        # Re-bind the closures over the edited spec.
-        install_integer_forwards(integer_model.shell, integer_model.specs)
+        # Compile a plan over the edited specs.
+        shell = build_serving_model(
+            artifact, reconstruct_weights=False, dtype=np.float64
+        )
+        integer_model = compile_plan(shell, specs, prototype.parity_rtol)
         inputs = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
         with pytest.raises(IntegerBackendParityError) as excinfo:
             verify_integer_parity(integer_model, float64_reference(artifact), inputs)

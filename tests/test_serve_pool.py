@@ -505,7 +505,7 @@ class TestIntegerBackendPool:
         return compile_artifact(model, manifest)
 
     def test_scale_up_leases_integer_clones(self, act_artifact):
-        from repro.serve import IntegerServingModel
+        from repro.serve import ServingPlan
 
         cache = ArtifactCache()
         policy = AutoscalePolicy(
@@ -521,7 +521,7 @@ class TestIntegerBackendPool:
         assert len(pool.engines) == 2
         records = pool.engine_records()
         assert all(
-            isinstance(model, IntegerServingModel) for _, _, model in records
+            isinstance(model, ServingPlan) and model.serving_backend == "integer" for _, _, model in records
         )
         # The scale-up clone shares the prototype's immutable codes.
         first, second = records[0][2], records[1][2]

@@ -206,7 +206,7 @@ class TestProcessPoolServing:
             x = np.random.default_rng(1).standard_normal((3, 8, 8))
             served = pool.submit(x).result(timeout=30)
             with no_grad():
-                local = mlp_artifact.model()(
+                local = mlp_artifact.served_model("float")(
                     Tensor(x[None].astype(pool.input_dtype))
                 ).data[0]
             np.testing.assert_array_equal(served, local)
@@ -285,7 +285,7 @@ class TestProcessPoolServing:
         pending = pool.submit(x)
         pool.close(drain=True, timeout=30)
         with no_grad():
-            local = mlp_artifact.model()(Tensor(x[None].astype(pool.input_dtype))).data[0]
+            local = mlp_artifact.served_model("float")(Tensor(x[None].astype(pool.input_dtype))).data[0]
         np.testing.assert_array_equal(pending.result(timeout=0), local)
         assert cache.active_leases() == 0
 
@@ -391,7 +391,7 @@ class TestProcessChaosKill:
             assert pending.engine_index == 1
             assert pool.stats.engine_deaths == 1
             with no_grad():
-                local = mlp_artifact.model()(
+                local = mlp_artifact.served_model("float")(
                     Tensor(x[None].astype(pool.input_dtype))
                 ).data[0]
             np.testing.assert_array_equal(served, local)
@@ -689,7 +689,7 @@ class TestReaderFailure:
             assert pending.engine_index == 1  # answered by the replacement
             assert session.stats.engine_deaths == 1
         with no_grad():
-            local = mlp_artifact.model()(Tensor(x[None].astype(served.dtype))).data[0]
+            local = mlp_artifact.served_model("float")(Tensor(x[None].astype(served.dtype))).data[0]
         np.testing.assert_array_equal(served, local)
         # The failure stays loud: the reader's exception reached the hook.
         assert [type(error.exc_value) for error in errors] == [ValueError]

@@ -40,13 +40,14 @@ class TestConstruction:
         prototype, and the lease is returned on close."""
         with ServingSession(artifact) as session:
             assert session.artifact is artifact
-            assert session.model is not artifact.model()
-            prototype = artifact.model().state_dict()
-            served = session.model.state_dict()
-            assert sorted(served) == sorted(prototype)
-            for name, value in prototype.items():
-                assert served[name].dtype == value.dtype
-                assert served[name].tobytes() == value.tobytes()
+            prototype = artifact.served_model("float")
+            assert session.model is not prototype
+            batch = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
+            with no_grad():
+                served = session.model(Tensor(batch.astype(np.float32))).data
+                expected = prototype(Tensor(batch.astype(np.float32))).data
+            assert served.dtype == expected.dtype == np.float32
+            assert served.tobytes() == expected.tobytes()
             cache = session.cache
             assert cache is not None and cache.active_leases() == 1
         assert cache.active_leases() == 0
@@ -64,9 +65,11 @@ class TestConstruction:
             with ServingSession(str(path), cache=cache) as second:
                 assert second.artifact is first.artifact
                 assert second.model is not first.model
-                for name, value in first.model.state_dict().items():
+                batch = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
+                with no_grad():
                     np.testing.assert_array_equal(
-                        second.model.state_dict()[name], value
+                        first.model(Tensor(batch)).data,
+                        second.model(Tensor(batch)).data,
                     )
                 assert cache.active_leases() == 2
         assert cache.stats.hits == 1 and cache.stats.misses == 1
@@ -238,7 +241,7 @@ class TestMultiEngineSession:
             assert len(session.models) == 2
             assert session.models[0] is not session.models[1]
             # The prototype stays pristine (it is the clone source).
-            assert artifact.model() not in session.models
+            assert artifact.served_model("float") not in session.models
             with pytest.raises(RuntimeError, match="use .engines"):
                 session.engine
 
@@ -280,7 +283,9 @@ class TestPredict:
             dtype = session.input_dtype
         assert dtype == artifact.compute_dtype == np.float32
         with no_grad():
-            expected = artifact.model()(Tensor(x[None].astype(dtype))).data[0]
+            expected = artifact.served_model("float")(
+                Tensor(x[None].astype(dtype))
+            ).data[0]
         np.testing.assert_array_equal(got, expected)
 
     def test_predict_batch_preserves_row_order(self, artifact64, rng):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.serve import TRACE_KINDS, TraceConfig, TrafficTrace, generate_trace
+from repro.serve import TRACE_KINDS, TraceConfig, generate_trace
 
 
 class TestValidation:

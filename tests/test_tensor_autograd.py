@@ -4,7 +4,7 @@ against central finite differences, plus graph-shape and mode tests."""
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, no_grad, is_grad_enabled, tensor, zeros, ones, arange
+from repro.tensor import Tensor, no_grad, is_grad_enabled, zeros, ones, arange
 from tests.conftest import finite_difference
 
 
