@@ -22,9 +22,8 @@ machine-checked invariants:
   and the JSON rendering (:mod:`repro.analysis.report`) is
   byte-deterministic, so CI diffs between two lint runs are meaningful.
 
-Entry points: ``repro lint`` (:mod:`repro.cli`), :func:`lint_paths`
-for library use, and :func:`lint_unit` — the sweep-runner target behind
-the ``lint`` unit family, which makes findings-over-time sweepable.
+Entry points: ``repro lint`` (:mod:`repro.cli`) and :func:`lint_paths`
+for library use.
 """
 
 from __future__ import annotations
@@ -379,51 +378,3 @@ def lint_paths(
         report.files += 1
     report.findings.sort()
     return report
-
-
-# ----------------------------------------------------------------------
-# Sweep-runner unit target (the `lint` unit family)
-# ----------------------------------------------------------------------
-def lint_unit(
-    path: str,
-    rules: Optional[List[str]] = None,
-    tag: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run the linter over ``path`` as one sweep-runner unit.
-
-    Returns the :meth:`LintReport.to_dict` document (JSON-able, sorted,
-    deterministic for a fixed tree). ``tag`` rides along into the
-    result — and, being a unit param, into the content key — so sweeps
-    over revisions archive findings-over-time under distinct cache
-    entries (the runner's cache cannot see source changes by itself).
-    """
-    report = lint_paths([path], rules=rules)
-    document = report.to_dict()
-    document["path"] = str(path)
-    if tag is not None:
-        document["tag"] = str(tag)
-    return document
-
-
-def render_lint_unit(result: Dict[str, object]) -> str:
-    """One-paragraph rendering of a ``lint_unit`` payload."""
-    counts = result.get("counts", {})
-    breakdown = (
-        ", ".join(f"{rule}: {count}" for rule, count in sorted(counts.items()))
-        if counts
-        else "clean"
-    )
-    lines = [
-        f"lint {result.get('path', '?')}: {result.get('total', 0)} findings "
-        f"in {result.get('files', 0)} files "
-        f"({result.get('suppressed', 0)} suppressed) — {breakdown}"
-    ]
-    for finding in list(result.get("findings", []))[:20]:
-        lines.append(
-            f"  {finding['path']}:{finding['line']}: "
-            f"[{finding['rule']}] {finding['message']}"
-        )
-    remaining = len(result.get("findings", [])) - 20
-    if remaining > 0:
-        lines.append(f"  ... and {remaining} more")
-    return "\n".join(lines)

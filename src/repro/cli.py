@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import zipfile
 from typing import Dict, List, Optional
 
 from repro.analysis.engine import ALL_RULE_IDS
@@ -629,7 +630,11 @@ def _run_serve(args) -> int:
     kill_at = 0.35 * max(trace.duration_s, 1e-3) if args.chaos else None
     inputs = None
     for round_index in range(max(1, args.repeat)):
-        session = ServingSession(args.artifact, config=config, cache=cache)
+        try:
+            session = ServingSession(args.artifact, config=config, cache=cache)
+        except (OSError, ValueError) as error:
+            print(f"serve: {error}", file=sys.stderr)
+            return 2
         artifact = session.artifact
         manifest = artifact.manifest
         if inputs is None:
@@ -692,7 +697,7 @@ def _run_gateway(args) -> int:
             )
         for spec in specs:
             registry.register(spec, preload=args.preload)
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         registry.close()
         print(f"gateway: {error}", file=sys.stderr)
         return 2
@@ -727,6 +732,29 @@ def _predict_remote(args, images):
     return decode_tensor(document["outputs"]), note
 
 
+def _load_batch(path: str, key: str):
+    """The input batch stored in ``path`` (``.npy``, or ``key`` of an
+    ``.npz``); raises ``ValueError`` when the file holds no batch."""
+    import numpy as np
+
+    loaded = np.load(path)
+    if isinstance(loaded, np.ndarray):
+        images = loaded
+    else:
+        with loaded:
+            if key in loaded.files:
+                images = loaded[key]
+            elif len(loaded.files) == 1:
+                images = loaded[loaded.files[0]]
+            else:
+                raise ValueError(
+                    f"no array {key!r} in {path} (found {loaded.files})"
+                )
+    if images.ndim < 2:
+        raise ValueError(f"expected a batch, got shape {images.shape}")
+    return images
+
+
 def _run_predict(args) -> int:
     import numpy as np
 
@@ -739,24 +767,12 @@ def _run_predict(args) -> int:
             file=sys.stderr,
         )
         return 2
-    loaded = np.load(args.input)
-    if isinstance(loaded, np.ndarray):
-        images = loaded
-    else:
-        with loaded:
-            if args.key in loaded.files:
-                images = loaded[args.key]
-            elif len(loaded.files) == 1:
-                images = loaded[loaded.files[0]]
-            else:
-                print(
-                    f"predict: no array {args.key!r} in {args.input} "
-                    f"(found {loaded.files})",
-                    file=sys.stderr,
-                )
-                return 2
-    if images.ndim < 2:
-        print(f"predict: expected a batch, got shape {images.shape}", file=sys.stderr)
+    try:
+        images = _load_batch(args.input, args.key)
+        if args.url is None:
+            artifact = DEFAULT_CACHE.load(args.artifact)
+    except (OSError, ValueError, zipfile.BadZipFile) as error:
+        print(f"predict: {error}", file=sys.stderr)
         return 2
     if args.url is not None:
         answer = _predict_remote(args, images)
@@ -764,7 +780,6 @@ def _run_predict(args) -> int:
             return 1
         logits, note = answer
     else:
-        artifact = DEFAULT_CACHE.load(args.artifact)
         with ServingSession(artifact, config=ServeConfig(**_serve_fields(args))) as session:
             logits = session.predict_batch(images)
         note = f" ({args.backend} backend)" if args.backend != "float" else ""

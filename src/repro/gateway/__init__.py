@@ -1,4 +1,4 @@
-"""Network serving gateway: registry, HTTP front end, wire-parity replay.
+"""Network serving gateway: registry, HTTP front end, replay client.
 
 The gateway is the network face of :mod:`repro.serve`: a stdlib-only
 (``asyncio`` + hand-rolled HTTP/1.1) front end that serves **multiple**
@@ -7,8 +7,9 @@ content-hash :class:`~repro.serve.artifact.ArtifactCache` — to a leased
 engine pool with its own backend/engines/autoscale configuration and
 its own admission budget (shed with HTTP 429 + ``Retry-After`` instead
 of queueing unboundedly). The parity contract survives the socket:
-tensors cross the wire base64-encoded (bit-identical buffers) and the
-``gateway-replay`` runner unit verifies wire-served answers against the
+tensors cross the wire base64-encoded (bit-identical buffers), so a
+trace replayed over HTTP with
+:class:`~repro.gateway.client.GatewayReplayClient` verifies against the
 server-side session with :func:`~repro.serve.replay.verify_replay`.
 
 Layout::
@@ -17,7 +18,6 @@ Layout::
     registry.py  ArtifactRegistry: names -> sessions, admission, unload
     server.py    GatewayServer: asyncio HTTP front end + graceful drain
     client.py    GatewayClient / GatewayReplayClient (replay transport)
-    replay.py    run_point/render of the gateway-replay runner family
 
 CLI: ``repro gateway`` serves; ``repro predict --url`` calls one.
 """

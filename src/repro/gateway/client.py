@@ -258,7 +258,7 @@ class GatewayReplayClient:
         self._jobs: "queue.Queue" = queue.Queue()
         self._workers = [
             threading.Thread(
-                target=self._worker, name=f"gateway-replay-{index}", daemon=True
+                target=self._worker, name=f"replay-client-{index}", daemon=True
             )
             for index in range(workers)
         ]

@@ -130,13 +130,19 @@ class ArtifactRegistry:
         """Register ``spec`` under its name; optionally load it now.
 
         Names are unique — re-registering a live name raises; unload
-        the old entry first. A spec whose serving fields conflict
-        raises :func:`~repro.serve.session.resolve_policy`'s
-        ``ValueError`` here, not at first use.
+        the old entry first. A source that is not a path or a
+        :class:`~repro.serve.artifact.ServingArtifact`, or a spec whose
+        serving fields conflict (:func:`~repro.serve.session.resolve_policy`),
+        raises ``ValueError`` here, not at first use.
         """
         if not spec.name or "/" in spec.name:
             raise ValueError(
                 f"artifact name {spec.name!r} must be non-empty and free of '/'"
+            )
+        if not isinstance(spec.source, (str, Path, ServingArtifact)):
+            raise ValueError(
+                "artifact source must be a CQW1 path or a ServingArtifact, "
+                f"got {type(spec.source).__name__}"
             )
         if not spec.autostart:
             raise ValueError(

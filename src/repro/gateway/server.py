@@ -476,8 +476,6 @@ class GatewayServer:
             )
         array = decode_tensor(document["inputs"])
         session = self.registry.session(name)  # UnknownArtifact → 404
-        if session.artifact is None:
-            raise WireError("bad_artifact", "session has no manifest")
         batch = coerce_batch(
             array, session.artifact.manifest.input_shape, session.input_dtype
         )

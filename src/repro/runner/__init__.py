@@ -1,25 +1,25 @@
-"""Sweep orchestration: registry of runnable units + pooled execution.
+"""Sweep orchestration: runnable unit specs + pooled execution.
 
 Every figure harness and budget-sweep grid point is describable as a
 :class:`~repro.runner.registry.UnitSpec` — a ``module:callable`` target
-plus JSON-able parameters. :class:`~repro.runner.runner.SweepRunner`
-executes a list of specs in a process pool, archiving each result under
-``.cache/results/`` keyed by a content hash of the unit's config, so
-killed sweeps resume by re-running only the missing points and repeat
-runs are pure cache hits. The CLI front ends are ``repro sweep`` and
-``repro figure --all`` (see :mod:`repro.cli`); the design is documented
-in ``docs/architecture.md``.
+plus JSON-able parameters — and two plain factories expand them:
+:func:`~repro.runner.registry.figure_units` and
+:func:`~repro.runner.registry.budget_sweep_units`.
+:class:`~repro.runner.runner.SweepRunner` executes a list of specs in a
+process pool, archiving each result under ``.cache/results/`` keyed by
+a content hash of the unit's config, so killed sweeps resume by
+re-running only the missing points and repeat runs are pure cache
+hits. The CLI front ends are ``repro sweep`` and ``repro figure --all``
+(see :mod:`repro.cli`); the design is documented in
+``docs/architecture.md``.
 """
 
 from repro.runner.registry import (
     FIGURE_NAMES,
     UnitSpec,
-    available_unit_factories,
     budget_sweep_units,
-    build_units,
     figure_unit,
     figure_units,
-    register_unit_factory,
     resolve_target,
 )
 from repro.runner.runner import (
@@ -33,12 +33,9 @@ from repro.runner.runner import (
 __all__ = [
     "FIGURE_NAMES",
     "UnitSpec",
-    "available_unit_factories",
     "budget_sweep_units",
-    "build_units",
     "figure_unit",
     "figure_units",
-    "register_unit_factory",
     "resolve_target",
     "DEFAULT_CACHE_DIR",
     "SweepReport",

@@ -1,4 +1,4 @@
-"""Parallel, resumable execution of registry units.
+"""Parallel, resumable execution of unit specs.
 
 :class:`SweepRunner` takes a list of :class:`~repro.runner.registry.UnitSpec`
 and brings every unit's result into ``cache_dir``:

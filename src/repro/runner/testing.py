@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.runner.registry import UnitSpec, register_unit_factory
+from repro.runner.registry import UnitSpec
 
 
 def toy_unit(
@@ -71,6 +71,3 @@ def toy_units(
         for value in values
         for seed in seeds
     ]
-
-
-register_unit_factory("toy", toy_units)

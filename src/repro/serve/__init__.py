@@ -22,7 +22,7 @@ those knobs combine);
 :mod:`~repro.serve.replay` generates request-replay load from one
 driver over a seeded :class:`~repro.serve.trace.TrafficTrace` —
 open-loop arrivals, or a ``backlog`` drained by capped closed-loop
-clients — and the sweepable ``serve-replay`` benchmark unit.
+clients — and checks every served answer bitwise.
 Engines forward a compiled channel-last :class:`~repro.serve.plan.ServingPlan`;
 ``ServeConfig(backend="integer")`` runs the packed codes with integer
 MACs in the same plan, within a derived rescale bound of the float model.

@@ -1,4 +1,4 @@
-"""Request-replay load generation and the sweepable serving benchmark.
+"""Request-replay load generation and its parity check.
 
 :func:`replay_trace` is the one replay driver: it dispatches a seeded
 :class:`~repro.serve.trace.TrafficTrace` (uniform / Poisson / bursty /
@@ -12,19 +12,14 @@ the degenerate ``backlog`` trace (every arrival at t=0) under a
 models directly and checks the answers bitwise — the parity contract of
 :mod:`repro.serve.engine`, exercised from the CLI via ``repro serve``;
 pass ``expected`` to make partial coverage an error.
-
-:func:`run_point` packages the whole thing (pretrained preset →
-uniform-bit artifact → trace-driven replay vs sequential baseline,
-optionally autoscaled and chaos-killed) as a runner unit, registered
-as the ``serve-replay`` family in :mod:`repro.runner.registry`, so
-sweeps can include serving benchmarks alongside accuracy grids.
+:func:`build_uniform_artifact` is the serving benchmarks' fixture: a
+pretrained preset quantized at uniform bits.
 
 The driver is duck-typed over the session: anything with
 ``input_dtype``/``submit``/``stats``/``engines``/``pool`` works, which
 is how :class:`repro.gateway.client.GatewayReplayClient` replays the
 same traces **over HTTP** against a live gateway and still verifies
-parity with :func:`verify_replay` (the ``gateway-replay`` family in
-:mod:`repro.gateway.replay`).
+parity with :func:`verify_replay` on the server-side session.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -42,9 +37,8 @@ from repro.serve.artifact import (
     build_serving_model,
     compile_artifact,
 )
-from repro.serve.pool import AutoscalePolicy
-from repro.serve.session import ServeConfig, ServingSession, resolve_policy
-from repro.serve.trace import TraceConfig, TrafficTrace, generate_trace
+from repro.serve.session import ServingSession
+from repro.serve.trace import TrafficTrace
 
 
 @dataclass
@@ -398,7 +392,7 @@ def render_trace_replay(payload: Dict[str, object], title: str = "trace replay")
 
 
 # ----------------------------------------------------------------------
-# The sweepable unit (registered as the "serve-replay" family)
+# Benchmark fixtures
 # ----------------------------------------------------------------------
 def build_uniform_artifact(
     model: str = "vgg-small",
@@ -410,8 +404,8 @@ def build_uniform_artifact(
     """A serving artifact for a pretrained preset at uniform ``bits``.
 
     Serving cost does not depend on *which* arrangement the search
-    found, so the benchmark unit skips the search/refine phases and
-    quantizes the cached pretrained model uniformly.
+    found, so serving benchmarks skip the search/refine phases and
+    quantize the cached pretrained model uniformly.
     """
     from repro.experiments.presets import get_pretrained
     from repro.quant.qmodules import quantize_model, quantized_layers
@@ -435,220 +429,3 @@ def build_uniform_artifact(
         extra={"uniform_bits": int(bits)},
     )
     return compile_artifact(student, manifest)
-
-
-def build_replay_point(
-    model: str,
-    dataset: str,
-    scale: str,
-    seed: int,
-    bits: int,
-    trace: str,
-    requests: int,
-    rate_rps: float,
-    batch_mix: tuple,
-) -> Tuple[ServingArtifact, TrafficTrace, np.ndarray]:
-    """The setup every replay grid point shares: the preset's
-    uniform-``bits`` artifact, the seeded traffic trace, and the
-    trace's input rows (test images, cycled)."""
-    from repro.experiments.presets import get_dataset
-
-    artifact = build_uniform_artifact(
-        model=model, dataset=dataset, scale=scale, seed=seed, bits=bits
-    )
-    data = get_dataset(dataset, scale=scale, seed=seed)
-    traffic = generate_trace(
-        TraceConfig(
-            kind=trace,
-            requests=int(requests),
-            rate_rps=float(rate_rps),
-            seed=int(seed),
-            batch_sizes=tuple(int(b) for b in batch_mix),
-        )
-    )
-    return artifact, traffic, cycle_inputs(data.test_images, traffic.rows)
-
-
-def replay_and_verify(
-    artifact: ServingArtifact,
-    config: ServeConfig,
-    row_inputs: np.ndarray,
-    traffic: TrafficTrace,
-    slo_ms: float,
-    chaos_kill_at_s: Optional[float] = None,
-) -> Dict[str, object]:
-    """Replay ``traffic`` on a fresh session over ``artifact`` and
-    verify every row; returns the payload with ``verified_requests``.
-
-    Parity is strict: a verified-request shortfall raises rather than
-    shrinking a number nobody reads.
-    """
-    session = ServingSession(artifact, config=config)
-    try:
-        run = replay_trace(
-            session,
-            row_inputs,
-            traffic,
-            slo_ms=float(slo_ms),
-            chaos_kill_at_s=chaos_kill_at_s,
-        )
-        run.payload["verified_requests"] = int(
-            verify_replay(session, row_inputs, run, expected=traffic.rows)
-        )
-        return run.payload
-    finally:
-        session.close()
-
-
-def run_point(
-    model: str = "vgg-small",
-    dataset: str = "synth10",
-    scale: str = "tiny",
-    seed: int = 0,
-    bits: int = 2,
-    requests: int = 64,
-    trace: str = "uniform",
-    rate_rps: float = 200.0,
-    batch_mix: tuple = (1,),
-    slo_ms: float = 50.0,
-    batch_window_ms: float = 2.0,
-    max_batch_size: int = 16,
-    pool_size: int = 1,
-    autoscale: bool = False,
-    max_engines: int = 4,
-    chaos: bool = False,
-    compare_sequential: bool = True,
-    backend: str = "float",
-    pool: str = "thread",
-    workers: int = 2,
-) -> Dict[str, object]:
-    """One serving-benchmark grid point (a runner-unit target).
-
-    Serves a uniform-``bits`` artifact of the pretrained preset under a
-    seeded open-loop traffic ``trace`` (see
-    :data:`~repro.serve.trace.TRACE_KINDS`) — fanned out across
-    ``pool_size`` engines leased from one artifact, or autoscaled
-    between ``pool_size`` and ``max_engines`` from queue depth when
-    ``autoscale`` is set — optionally against a sequential
-    (``max_batch_size=1``, single-engine) baseline replaying the same
-    trace, and returns the JSON-able report. The trace is seeded from
-    ``seed``, so the same grid point always offers the identical load
-    (same arrivals, same batch mix) and parity verification is strict:
-    a verified-request shortfall raises rather than shrinking a number
-    nobody reads. ``chaos`` kills one engine a third of the way into
-    the trace; the pool supervisor replaces it. ``backend`` selects
-    the execution path (``"float"`` or ``"integer"``) for every replay
-    — including the sequential baseline — and integer replays
-    additionally pass the rescale-bound check of :func:`verify_replay`.
-
-    ``pool="process"`` serves the batched replay from ``workers``
-    worker processes over one shared-memory artifact
-    (:class:`~repro.serve.procpool.ProcessPlacement`) instead of
-    thread engines, fixed or autoscaled alike; parity verification is
-    unchanged — the parent's lease twins replay the worker-served
-    batches bit-exactly. The sequential baseline always runs
-    in-process (single thread engine) — it is the *batching* control,
-    not the transport control. The knobs map straight onto
-    :class:`~repro.serve.session.ServeConfig`, and any combination
-    :func:`~repro.serve.session.resolve_policy` rejects raises before
-    the artifact is built.
-    """
-    policy = None
-    if autoscale:
-        policy = AutoscalePolicy(
-            min_engines=int(pool_size), max_engines=int(max_engines)
-        )
-    batched_config = ServeConfig(
-        batch_window_s=batch_window_ms / 1e3,
-        max_batch_size=max_batch_size,
-        record_batches=True,
-        engines=int(pool_size),
-        autoscale=policy,
-        backend=backend,
-        pool=pool,
-        workers=int(workers),
-    )
-    resolve_policy(batched_config)
-    artifact, traffic, row_inputs = build_replay_point(
-        model, dataset, scale, seed, bits, trace, requests, rate_rps, batch_mix
-    )
-    kill_at_s = 0.35 * max(traffic.duration_s, 1e-3) if chaos else None
-    batched = replay_and_verify(
-        artifact, batched_config, row_inputs, traffic, slo_ms, kill_at_s
-    )
-    payload: Dict[str, object] = {
-        "model": model,
-        "dataset": dataset,
-        "scale": scale,
-        "seed": int(seed),
-        "bits": int(bits),
-        "backend": backend,
-        "pool_size": int(pool_size),
-        "trace_kind": trace,
-        "rate_rps": float(rate_rps),
-        "autoscale": bool(autoscale),
-        "max_engines": int(max_engines),
-        "chaos": bool(chaos),
-        "pool": pool,
-        "workers": int(workers),
-        "artifact_nbytes": int(artifact.nbytes),
-        "payload_nbytes": int(artifact.payload_nbytes),
-        "sidecar_nbytes": int(artifact.sidecar_nbytes),
-        "batched": batched,
-    }
-    if compare_sequential:
-        sequential_config = ServeConfig(
-            batch_window_s=0.0,
-            max_batch_size=1,
-            record_batches=True,
-            backend=backend,
-        )
-        sequential = replay_and_verify(
-            artifact, sequential_config, row_inputs, traffic, slo_ms
-        )
-        payload["sequential"] = sequential
-        if batched["wall_s"] > 0:
-            payload["speedup"] = float(sequential["wall_s"] / batched["wall_s"])
-    return payload
-
-
-def render(payload: Dict[str, object]) -> str:
-    """Human rendering of a :func:`run_point` payload."""
-    process = payload.get("pool", "thread") == "process"
-    if payload.get("autoscale"):
-        notes = [
-            f"autoscale {payload['pool_size']}..{payload['max_engines']}"
-            + (" worker processes" if process else "")
-        ]
-    elif process:
-        notes = [f"{payload['workers']} worker processes"]
-    elif payload.get("pool_size", 1) != 1:
-        notes = [f"pool {payload['pool_size']}"]
-    else:
-        notes = []
-    if payload.get("chaos"):
-        notes.append("chaos")
-    if payload.get("backend", "float") != "float":
-        notes.append(f"{payload['backend']} backend")
-    pool_note = "".join(f", {note}" for note in notes)
-    lines = [
-        f"serve replay — {payload['model']} on {payload['dataset']} "
-        f"({payload['scale']}, uniform {payload['bits']} bits, "
-        f"seed {payload['seed']}{pool_note})",
-        render_trace_replay(payload["batched"], title="micro-batched"),
-    ]
-    if "artifact_nbytes" in payload:
-        lines.append(
-            f"artifact: {payload['artifact_nbytes']} bytes "
-            f"(payload {payload['payload_nbytes']}, "
-            f"sidecar {payload['sidecar_nbytes']})"
-        )
-    if "sequential" in payload:
-        lines.append(render_trace_replay(payload["sequential"], title="sequential"))
-    if "speedup" in payload:
-        lines.append(f"micro-batching speedup: x{payload['speedup']:.2f}")
-    lines.append(
-        "parity: "
-        f"{payload['batched'].get('verified_requests', 0)} requests bit-exact"
-    )
-    return "\n".join(lines)

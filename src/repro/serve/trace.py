@@ -20,9 +20,7 @@ deployment claim. This module models the load itself:
 
 Determinism: all randomness flows through ``np.random.default_rng(seed)``
 — the same config always expands to the identical trace, byte for
-byte, which is what keeps trace-driven replay units sweepable under
-:mod:`repro.runner`'s content-key result cache (same params, same
-trace, same cache identity).
+byte, so two replays of one config offer the identical load.
 """
 
 from __future__ import annotations

@@ -342,9 +342,16 @@ class TestServeCommand:
         out = capsys.readouterr().out
         assert "payload" in out and "sidecar" in out and "float32" in out
 
-    def test_serve_missing_artifact_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["serve", "--artifact", str(tmp_path / "nope.cqw")])
+    def test_serve_missing_artifact_errors(self, tmp_path, capsys):
+        assert main(["serve", "--artifact", str(tmp_path / "nope.cqw")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ") and "nope.cqw" in err
+
+    def test_serve_corrupt_artifact_exits_2(self, tmp_path, capsys):
+        corrupt = tmp_path / "corrupt.cqw"
+        corrupt.write_bytes(b"not an artifact")
+        assert main(["serve", "--artifact", str(corrupt)]) == 2
+        assert capsys.readouterr().err == "serve: not a CQW1 bitstream\n"
 
 
 class TestPredictCommand:
@@ -385,6 +392,41 @@ class TestPredictCommand:
         ) == 2
         assert "expected a batch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [None, b"not an array", b"PK\x03\x04truncated"],
+        ids=["missing", "garbage", "truncated-npz"],
+    )
+    def test_predict_unreadable_input_exits_2(
+        self, capsys, preset_artifact, tmp_path, content
+    ):
+        batch = tmp_path / "batch.npz"
+        if content is not None:
+            batch.write_bytes(content)
+        assert main(
+            ["predict", "--artifact", str(preset_artifact), "--input", str(batch)]
+        ) == 2
+        assert capsys.readouterr().err.startswith("predict: ")
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "model.cqw"), (b"not an artifact", "not a CQW1 bitstream")],
+        ids=["missing", "corrupt"],
+    )
+    def test_predict_unreadable_artifact_exits_2(
+        self, capsys, tmp_path, content, message
+    ):
+        artifact = tmp_path / "model.cqw"
+        if content is not None:
+            artifact.write_bytes(content)
+        batch = tmp_path / "batch.npz"
+        np.savez(batch, images=np.zeros((2, 3, 16, 16)))
+        assert main(
+            ["predict", "--artifact", str(artifact), "--input", str(batch)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("predict: ") and message in err
+
 
 class TestGatewayCommand:
     @pytest.mark.parametrize(
@@ -401,6 +443,12 @@ class TestGatewayCommand:
     def test_bad_fan_out_exits_2(self, capsys, flags, message):
         assert main(["gateway", "m=m.cqw", "--port", "0", *flags]) == 2
         assert capsys.readouterr().err == f"gateway: {message}\n"
+
+    def test_preloading_a_missing_artifact_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "nope.cqw"
+        assert main(["gateway", f"m={missing}", "--port", "0", "--preload"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gateway: ") and "nope.cqw" in err
 
 
 @pytest.mark.slow

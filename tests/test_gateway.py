@@ -36,7 +36,6 @@ from repro.gateway import (
     decode_tensor,
     encode_tensor,
 )
-from repro.runner.registry import build_units
 from repro.serve.artifact import compile_artifact, save_artifact
 from repro.serve.pool import AutoscalePolicy
 from repro.serve.replay import replay_trace, verify_replay
@@ -212,6 +211,15 @@ class TestRegistry:
         with ArtifactRegistry() as registry:
             with pytest.raises(ValueError, match="autostart"):
                 registry.register(make_spec(mlp_artifact, autostart=False))
+            assert registry.names() == []
+
+    def test_register_refuses_a_bare_model_source(self, quantized_mlp_factory):
+        """A bare ``Module`` has no manifest to validate requests
+        against, so it is refused at register, not at every predict."""
+        model, _manifest = quantized_mlp_factory()
+        with ArtifactRegistry() as registry:
+            with pytest.raises(ValueError, match="CQW1 path or a ServingArtifact"):
+                registry.register(make_spec(model), preload=True)
             assert registry.names() == []
 
     def test_lazy_load_unload_reload(self, mlp_artifact):
@@ -656,23 +664,9 @@ class TestWireParity:
 
 
 # ----------------------------------------------------------------------
-# Runner family + CLI surface
+# CLI surface
 # ----------------------------------------------------------------------
 class TestRunnerAndCli:
-    def test_gateway_replay_units(self):
-        units = build_units(
-            "gateway-replay", bits=(2, 3), seeds=(0,), backend="integer",
-            autoscale=True,
-        )
-        assert len(units) == 2
-        assert all(u.target == "repro.gateway.replay:run_point" for u in units)
-        assert all(u.render == "repro.gateway.replay:render" for u in units)
-        names = [u.name for u in units]
-        assert names == sorted(names) or True  # deterministic order
-        assert "auto4" in names[0] and names[0].endswith("-int")
-        keys = {u.content_key() for u in units}
-        assert len(keys) == 2  # distinct cache identities
-
     def test_cli_gateway_rejects_bad_artifact_pair(self, capsys):
         assert cli_main(["gateway", "not-a-pair"]) == 2
         assert "name=path" in capsys.readouterr().err

@@ -24,7 +24,6 @@ from repro.analysis.engine import (
     Finding,
     lint_paths,
     lint_source,
-    render_lint_unit,
 )
 from repro.analysis.report import render, render_json
 from repro.analysis.rules import get_rules
@@ -528,31 +527,3 @@ def test_cli_lint_rule_filter(tmp_path, capsys):
 def test_cli_lint_missing_path_exits_two(tmp_path, capsys):
     assert main(["lint", str(tmp_path / "nope")]) == 2
     assert "does not exist" in capsys.readouterr().err
-
-
-def test_lint_unit_family(tmp_path):
-    from repro.runner.registry import build_units, resolve_target
-
-    bad = tmp_path / "bad.py"
-    bad.write_text("import json\nx = json.dumps({})\n")
-    units = build_units("lint", paths=[str(bad)], tag="rev0")
-    assert len(units) == 1
-    assert units[0].name.endswith("-rev0")
-    result = resolve_target(units[0].target)(**units[0].params)
-    assert result["total"] == 1
-    assert result["tag"] == "rev0"
-    assert result["counts"] == {"strict-json": 1}
-    rendered = render_lint_unit(result)
-    assert "1 findings" in rendered and "strict-json" in rendered
-    # Same spec, same result document — the runner's cache contract.
-    assert result == resolve_target(units[0].target)(**units[0].params)
-
-
-def test_lint_unit_specs_are_content_keyable():
-    from repro.runner.registry import build_units
-
-    units = build_units("lint", paths=["src/repro"], tag="a")
-    again = build_units("lint", paths=["src/repro"], tag="a")
-    other = build_units("lint", paths=["src/repro"], tag="b")
-    assert units[0].content_key() == again[0].content_key()
-    assert units[0].content_key() != other[0].content_key()

@@ -14,9 +14,7 @@ import pytest
 from repro.runner import (
     SweepRunner,
     UnitSpec,
-    available_unit_factories,
     budget_sweep_units,
-    build_units,
     execute_unit,
     figure_unit,
     figure_units,
@@ -61,16 +59,6 @@ class TestUnitSpec:
 
 
 class TestRegistry:
-    def test_families_registered(self):
-        families = available_unit_factories()
-        assert "figures" in families
-        assert "budget-sweep" in families
-        assert "toy" in families  # from repro.runner.testing import above
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(KeyError):
-            build_units("frobnicate")
-
     def test_figure_units_cover_every_figure(self):
         specs = figure_units(scale="tiny", seed=3)
         assert [s.name for s in specs] == [
@@ -93,31 +81,6 @@ class TestRegistry:
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
             figure_unit("9")
-
-    def test_serve_replay_units_registered_and_resolvable(self):
-        assert "serve-replay" in available_unit_factories()
-        specs = build_units(
-            "serve-replay", model="mlp", bits=(1, 2), seeds=(0, 1), scale="tiny"
-        )
-        grid = [(s.params["bits"], s.params["seed"]) for s in specs]
-        assert grid == [(1, 0), (1, 1), (2, 0), (2, 1)]
-        for spec in specs:
-            assert spec.target == "repro.serve.replay:run_point"
-            assert spec.params["pool_size"] == 1
-            resolve_target(spec.target)
-            resolve_target(spec.render)
-            spec.content_key()  # params must be JSON-able
-        assert len({s.content_key() for s in specs}) == len(specs)
-
-    def test_serve_replay_pool_size_is_a_grid_knob(self):
-        specs = build_units("serve-replay", model="mlp", pool_size=3)
-        assert all(s.params["pool_size"] == 3 for s in specs)
-        assert all(s.name.endswith("-p3") for s in specs)
-        # Different pool sizes are different cached results.
-        baseline = build_units("serve-replay", model="mlp")
-        assert {s.content_key() for s in specs}.isdisjoint(
-            s.content_key() for s in baseline
-        )
 
     def test_budget_sweep_units_grid_order(self):
         specs = budget_sweep_units(
