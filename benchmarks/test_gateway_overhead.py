@@ -7,20 +7,21 @@ once **over the wire** (``POST /v1/predict`` through keep-alive
 connections against a loopback :class:`GatewayServer`) — and asserts
 the engineering contract of ``repro.gateway``:
 
-* the wire path costs **<= 3x** the in-process wall clock (measured
-  ~x1.1-1.6: the stdlib HTTP hop plus base64 framing is small next to
-  a VGG forward, and server-side micro-batching still works because
-  concurrent sockets share engine batches),
+* the wire path costs **<= 3x** the in-process wall clock. It read
+  x1.1-1.6 while forwards were slow, but x6.4-8.6 on a 2-vCPU host
+  once engines served the compiled plan: with faster forwards fewer
+  wire rows share a batch (mean batch ~2), so the per-request wire
+  hop decides the ratio and this guard fails there,
 * every wire-served answer is **bit-exact** with the server engines'
   recorded batches (:func:`verify_replay` with full coverage — the
   parity contract survives the socket),
 * the gateway sheds nothing at this load: zero admission rejections,
   every request answered exactly once.
 
-The ratio ceiling is deliberately loose (3x vs the ~1.6x measured) so
-scheduler jitter on a shared CI runner cannot flip it; a regression
-that matters — per-request reconnects, serialized predicts, a lost
-micro-batch path — lands far above it.
+The ratio ceiling was set loose (3x against the ~1.6x measured then)
+so scheduler jitter on a shared CI runner could not flip it; a
+regression that matters — per-request reconnects, serialized
+predicts, a lost micro-batch path — lands far above it.
 """
 
 import threading

@@ -7,11 +7,12 @@ at a time (``max_batch_size=1``) — and asserts the engineering
 contract of ``repro.serve``:
 
 * micro-batched serving reaches **>= 3x** the sequential throughput:
-  a batch-32 forward costs far less than 32 batch-1 forwards on the
-  numpy stack — one broadcast GEMM per layer instead of 32, see the
-  conv2d matmul note in repro.tensor.functional. Six runs on a 2-vCPU
-  host measured x2.0-3.2, so the guard can fail there; the copy-free
-  conv lowering sped batch-1 forwards up more than batch-32 ones,
+  a batch-32 forward costs less than 32 batch-1 forwards, because it
+  pays each layer's per-call overhead once. Engines serve the compiled
+  plan (repro.serve.plan), which runs one GEMM per sample and copies
+  columns per row, so the gain per row is only ~2.9x on the plan's own
+  forward and the guard reads about x3.0 on a 2-vCPU host, failing
+  there in some runs,
 * batch composition is exactly ``192 = 6 x 32`` under saturation,
 * every answer is bit-exact with the model's forward on its executed
   batch (the serving parity contract).

@@ -737,6 +737,12 @@ def _load_batch(path: str, key: str):
     ``.npz``); raises ``ValueError`` when the file holds no batch."""
     import numpy as np
 
+    with open(path, "rb") as handle:
+        magic = handle.read(6)
+    # np.load would try to unpickle anything else, and refuse with advice
+    # to allow pickles.
+    if not magic.startswith((b"\x93NUMPY", b"PK\x03\x04", b"PK\x05\x06")):
+        raise ValueError(f"{path} is not an .npy/.npz batch")
     loaded = np.load(path)
     if isinstance(loaded, np.ndarray):
         images = loaded

@@ -5,11 +5,7 @@ drained by a single worker thread with **dynamic micro-batching**:
 queued requests are coalesced (up to ``max_batch_size``) into one
 forward pass, amortizing the per-forward cost of the numpy stack across
 requests exactly the way the incremental evaluator amortizes it across
-search queries. Dispatch is work-conserving: a request that reaches an
-idle worker runs at once, with whatever else is already queued. Only a
-batch formed from a backlog — rows that were waiting when the worker
-came back from a forward — waits up to ``batch_window_s`` for more rows
-to fill it, and the window never delays a full batch.
+search queries.
 
 Correctness contract (the serving twin of the evaluator's bit-exact
 contract): a request's prediction is **bit-exact** with running the
@@ -23,12 +19,10 @@ model; ``submit``/``predict`` may be called from any number of threads.
 :class:`ServeStats` mirrors :class:`repro.core.evaluator.EvalStats` —
 cost and latency counters that ride along with every replay report.
 
-Admission, the table of outstanding requests, batch accounting,
-``drain``, the orphan hand-off after a death and the settling of
-leftovers at close live in one private base, ``_EngineCore``, which
-the process placement's worker handle
-(:class:`~repro.serve.procpool.ProcessWorkerHandle`) shares; both
-placements execute batches through ``_forward_batch``.
+Both placements — this thread engine and the process worker behind
+:class:`~repro.serve.procpool.ProcessWorkerHandle` — share the private
+``_EngineCore`` (admission through close), ``_collect_batches`` (which
+rows share a batch) and ``_forward_batch`` (how a batch runs).
 """
 
 from __future__ import annotations
@@ -396,6 +390,52 @@ def _forward_batch(model, rows):
     return outputs, error, service_s, int(probe()) if probe is not None else 0
 
 
+def _collect_batches(
+    take, wait, answer, model, batch_window_s: float, max_batch_size: int,
+    backlog: bool = False, clock=time.monotonic,
+) -> None:
+    """Serve rows from one source until it says stop: the batching rule
+    of both placements.
+
+    ``take()`` returns a ready ``(rid, x)`` row or ``None``;
+    ``wait(deadline)`` blocks until a row may be ready or ``clock()``
+    passes ``deadline`` (``None``: no deadline) and returns whether to
+    stop. Each batch runs through :func:`_forward_batch` and goes out as
+    ``answer(rids, outputs, error, service_s, acc_bits)``. The rule:
+
+    * an idle worker runs a row at once, with the rows already ready;
+    * a backlog — rows ready when a forward ends, read before its
+      answer goes out so a client's follow-up is not one — waits up to
+      ``batch_window_s`` to fill;
+    * rows already received join the open batch, up to
+      ``max_batch_size``; a full batch never waits;
+    * rows held until ``start()`` count as a backlog (``backlog``);
+    * a close answers the rows that came before it: ``wait`` says stop
+      only once a close has left no row to take, which ends the open
+      batch and then the collection.
+    """
+    head = None
+    while True:
+        if head is None:
+            head = take()
+            if head is None:
+                if wait(None):
+                    return
+                continue
+        batch = [head]
+        deadline = clock() + (batch_window_s if backlog else 0.0)
+        while len(batch) < max_batch_size:
+            row = take()
+            if row is not None:
+                batch.append(row)
+            elif clock() >= deadline or wait(deadline):
+                break
+        outcome = _forward_batch(model, [x for _rid, x in batch])
+        head = take()
+        backlog = head is not None
+        answer([rid for rid, _x in batch], *outcome)
+
+
 class _EngineCore:
     """The placement-independent half of an engine.
 
@@ -690,31 +730,11 @@ class _EngineCore:
 class InferenceEngine(_EngineCore):
     """Thread-safe request queue + dynamic micro-batching worker thread.
 
-    Parameters
-    ----------
-    model:
-        The serving model (switched to ``eval()``; owned by the worker
-        thread from then on).
-    batch_window_s:
-        How long a non-full batch formed from a backlog waits for more
-        requests. A request that reaches an idle worker never waits.
-        ``0`` disables coalescing-by-waiting (queued requests still
-        coalesce).
-    max_batch_size:
-        Hard batch-size cap (``1`` = strictly sequential serving).
-    record_batches:
-        Keep the request-id composition of every executed batch
-        (unbounded growth — enable for tests/verification, not for
-        long-lived servers).
-    autostart:
-        Start the worker thread immediately. Pass ``False`` to queue
-        requests first and :meth:`start` later (deterministic batch
-        composition — the benchmarks use this).
-    max_pending:
-        Admission budget: the most requests allowed queued + in flight
-        at once. A submit beyond it raises :class:`QueueFull` instead
-        of growing the queue without bound (``None`` — the default —
-        keeps the historical unbounded behaviour for embedded use).
+    ``model`` is switched to ``eval()`` and owned by the worker thread
+    from then on. The other parameters mean what the
+    :class:`~repro.serve.session.ServeConfig` fields of the same names
+    do; ``autostart=False`` queues requests until :meth:`start`
+    (deterministic batch composition — the benchmarks use this).
     """
 
     def __init__(
@@ -740,7 +760,7 @@ class InferenceEngine(_EngineCore):
         self._model = model
         self.batch_window_s = float(batch_window_s)
         self.max_batch_size = int(max_batch_size)
-        self._queue: Deque[_QueuedRequest] = deque()  # guarded-by: _cond
+        self._queue: Deque[Tuple[int, np.ndarray]] = deque()  # guarded-by: _cond
         self._drain_on_close = True  # guarded-by: _cond
         self._kill = False  # guarded-by: _cond
         self._thread: Optional[threading.Thread] = None  # guarded-by: _cond
@@ -748,7 +768,7 @@ class InferenceEngine(_EngineCore):
             self.start()
 
     def _enqueue_locked(self, request: _QueuedRequest) -> None:
-        self._queue.append(request)
+        self._queue.append((request.rid, request.x))
 
     def _strip_locked(self) -> List[_QueuedRequest]:
         self._queue.clear()
@@ -814,11 +834,7 @@ class InferenceEngine(_EngineCore):
                 )
         elif draining:
             # Never started: answer the queue inline on the caller's thread.
-            while True:
-                with self._cond:
-                    if not self._queue:
-                        break
-                self._run_batch(self._collect_batch())
+            self._worker(backlog=False)
         self._settle_leftovers(draining)
 
     # ------------------------------------------------------------------
@@ -826,7 +842,10 @@ class InferenceEngine(_EngineCore):
     # ------------------------------------------------------------------
     def _worker(self, backlog: bool) -> None:
         try:
-            self._worker_loop(backlog)
+            _collect_batches(
+                self._take_row, self._wait_row, self._complete, self._model,
+                self.batch_window_s, self.max_batch_size, backlog,
+            )
         except BaseException as death:
             # Real crash or injected chaos kill: flag the death and wake
             # every waiter (drain(), the pool supervisor) before the
@@ -842,51 +861,22 @@ class InferenceEngine(_EngineCore):
         if self._kill:
             raise _InjectedCrash("chaos kill")
 
-    def _worker_loop(self, backlog: bool) -> None:
-        """Serve batches until closed. ``backlog`` says whether rows were
-        queued when the worker last came free (at start, then at the end
-        of each forward): only then does the window hold the batch open.
-        An idle worker runs a request at once."""
-        while True:
-            with self._cond:
-                self._check_kill_locked()
-                while not self._queue and not self._closing:
-                    self._cond.wait()
-                    self._check_kill_locked()
-                # Closing: leave once the queue is empty, or at once when
-                # not draining (close() cancels what is left).
-                if not self._queue or not self._drain_on_close:
-                    break
-            batch = self._collect_batch(self.batch_window_s if backlog else 0.0)
-            backlog = self._run_batch(batch)
-
-    def _collect_batch(self, window_s: float = 0.0) -> List[_QueuedRequest]:
-        """Pop one batch: the head request, everything already queued,
-        and whatever arrives within ``window_s``, capped at
-        ``max_batch_size``."""
+    def _take_row(self) -> Optional[Tuple[int, np.ndarray]]:
+        """The queue's head; nothing once a non-draining close began."""
         with self._cond:
-            batch = [self._queue.popleft()]
-        deadline = time.monotonic() + window_s
-        while len(batch) < self.max_batch_size:
-            with self._cond:
-                self._check_kill_locked()
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    continue
-                if self._closing:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(remaining)
-        return batch
+            self._check_kill_locked()
+            if self._queue and (self._drain_on_close or not self._closing):
+                return self._queue.popleft()
+        return None
 
-    def _run_batch(self, batch: List[_QueuedRequest]) -> bool:
-        """Run and answer ``batch``; returns whether rows were queued
-        behind it when its forward ended (before any answer went out,
-        so a client's follow-up to its own answer is not a backlog)."""
-        outcome = _forward_batch(self._model, [request.x for request in batch])
+    def _wait_row(self, deadline: Optional[float]) -> bool:
+        """Block until a row is queued, a close begins or ``deadline``
+        passes; stop once closing leaves no row to take. A chaos kill
+        lands at the next call."""
         with self._cond:
-            backlog = bool(self._queue)
-        self._complete([request.rid for request in batch], *outcome)
-        return backlog
+            self._check_kill_locked()
+            if not self._queue and not self._closing:
+                self._cond.wait(
+                    None if deadline is None else max(0.0, deadline - time.monotonic())
+                )
+            return self._closing and not (self._queue and self._drain_on_close)

@@ -28,26 +28,20 @@ Three design points carry the module:
   headers plus raw C-order array bytes. No pickle on the request path —
   nothing to deserialize-execute, no per-message protocol overhead
   beyond the struct header, and both ends stay bit-exact because the
-  bytes on the wire *are* the array bytes the models see.
+  bytes on the wire *are* the array bytes the models see. A malformed
+  frame raises ``ValueError``: no length is trusted past the frame.
 
 * **Parent-side accounting.** :class:`ProcessWorkerHandle` is the
-  thread engine's core (admission, the outstanding-request table,
-  batch accounting, ``drain``, orphan hand-off) with a pipe where the
-  worker thread would be. Its executed-batch records live parent-side
-  (derived from the answer stream), so a dead worker's batches remain
-  replayable and :func:`~repro.serve.replay.verify_replay` still
-  reaches full coverage after a mid-replay kill: the parent holds a
-  bit-identical lease clone of every worker's model, and artifact
-  reconstruction is deterministic, so the parent can replay
-  worker-served batches bit-exactly. The worker collects batches by
-  the thread engine's rules and runs them through the same forward
-  helper.
+  engine core with a pipe where the worker thread would be, and its
+  records survive a worker's death; the worker batches by the engine's
+  own ``_collect_batches`` and ``_forward_batch``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import signal
 import struct
 import threading
@@ -60,8 +54,8 @@ import numpy as np
 from repro.serve.artifact import ServingArtifact, SharedArtifactSegment
 from repro.serve.engine import (
     ShutdownTimeout,
+    _collect_batches,
     _EngineCore,
-    _forward_batch,
     _model_input_dtype,
     _QueuedRequest,
 )
@@ -86,6 +80,58 @@ _PREDICT_HEAD = "<BQB"  # op, rid, ndim
 _BATCH_HEAD = "<BBdHI"  # op, status, service_s, acc_bits, count
 
 
+class _FrameReader:
+    """A cursor over one frame whose reads raise ``ValueError`` rather
+    than run past its end: every size read from a header is checked
+    against the bytes that remain before anything is built from it."""
+
+    def __init__(self, frame, offset: int = 0):
+        self.frame = frame
+        self.offset = offset
+
+    def skip(self, nbytes: int) -> int:
+        """Advance ``nbytes``; returns where they start."""
+        start, remain = self.offset, len(self.frame) - self.offset
+        if nbytes > remain:
+            raise ValueError(
+                f"truncated frame: {nbytes} bytes wanted at byte {start}, {remain} left"
+            )
+        self.offset += nbytes
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.frame, self.skip(struct.calcsize(fmt)))
+
+    def text(self, prefix: str) -> str:
+        """A UTF-8 string after its ``prefix``-packed length (:func:`_pack_text`)."""
+        (size,) = self.unpack(prefix)
+        start = self.skip(size)
+        return bytes(self.frame[start : self.offset]).decode("utf-8")
+
+    def array(self, dtype: np.dtype, ndim: int) -> np.ndarray:
+        """A zero-copy view: ``ndim`` shape words, then the raw bytes."""
+        shape = self.unpack(f"<{ndim}I")
+        count = math.prod(shape)
+        start = self.skip(count * dtype.itemsize)
+        return np.frombuffer(self.frame, dtype, count, start).reshape(shape)
+
+
+def _pack_text(prefix: str, text: str) -> bytes:
+    """A UTF-8 string after its ``prefix``-packed byte length."""
+    raw = text.encode("utf-8")
+    return struct.pack(prefix, len(raw)) + raw
+
+
+def _wire_dtype(text: str) -> np.dtype:
+    """The numeric dtype a frame names (``ValueError`` for anything else)."""
+    try:
+        if re.fullmatch(r"[<>|=][biufc]\d{1,2}", text):
+            return np.dtype(text)
+    except TypeError:
+        pass
+    raise ValueError(f"frame names no numeric dtype: {text!r}")
+
+
 def _encode_predict(rid: int, array: np.ndarray) -> bytes:
     """Frame one request: header + shape + raw C-order array bytes."""
     return (
@@ -97,12 +143,11 @@ def _encode_predict(rid: int, array: np.ndarray) -> bytes:
 
 def _decode_predict(frame, dtype: np.dtype, offset: int = 0) -> Tuple[int, np.ndarray]:
     """One request frame starting at ``offset`` (a zero-copy view)."""
-    rid, ndim = struct.unpack_from("<QB", frame, offset + 1)
-    offset += struct.calcsize(_PREDICT_HEAD)
-    shape = struct.unpack_from(f"<{ndim}I", frame, offset)
-    count = math.prod(shape)
-    x = np.frombuffer(frame, dtype=dtype, count=count, offset=offset + 4 * ndim)
-    return int(rid), x.reshape(shape)
+    reader = _FrameReader(frame, offset)
+    op, rid, ndim = reader.unpack(_PREDICT_HEAD)
+    if op != _OP_PREDICT:
+        raise ValueError(f"request frame opcode {op}, expected {_OP_PREDICT}")
+    return int(rid), reader.array(dtype, ndim)
 
 
 def _decode_predicts(message, dtype: np.dtype) -> List[Tuple[int, np.ndarray]]:
@@ -129,38 +174,34 @@ def _encode_batch(
     rid_bytes = struct.pack(f"<{len(rids)}Q", *rids)
     if error is None:
         out = np.ascontiguousarray(outputs)
-        dtype_str = out.dtype.str.encode("ascii")
         return (
             head
             + rid_bytes
-            + struct.pack("<BB", len(dtype_str), out.ndim)
-            + dtype_str
+            + struct.pack("<B", out.ndim)
+            + _pack_text("<B", out.dtype.str)
             + struct.pack(f"<{out.ndim}I", *out.shape)
             + out.tobytes()
         )
-    message = error.encode("utf-8")
-    return head + rid_bytes + struct.pack("<I", len(message)) + message
+    return head + rid_bytes + _pack_text("<I", error)
 
 
 def _decode_batch(frame):
-    """Returns ``(service_s, acc_bits, rids, outputs, error)``."""
-    status, service_s, acc_bits, count = struct.unpack_from("<BdHI", frame, 1)
-    offset = struct.calcsize(_BATCH_HEAD)
-    rids = struct.unpack_from(f"<{count}Q", frame, offset)
-    offset += 8 * count
+    """Returns ``(service_s, acc_bits, rids, outputs, error)``; a
+    malformed frame raises ``ValueError``."""
+    reader = _FrameReader(frame)
+    _op, status, service_s, acc_bits, count = reader.unpack(_BATCH_HEAD)
+    rids = reader.unpack(f"<{count}Q")
+    outputs = error = None
     if status == 0:
-        dtype_len, ndim = struct.unpack_from("<BB", frame, offset)
-        offset += 2
-        dtype = np.dtype(bytes(frame[offset : offset + dtype_len]).decode("ascii"))
-        offset += dtype_len
-        shape = struct.unpack_from(f"<{ndim}I", frame, offset)
-        offset += 4 * ndim
-        outputs = np.frombuffer(frame, dtype=dtype, offset=offset).reshape(shape)
-        return float(service_s), int(acc_bits), [int(r) for r in rids], outputs, None
-    (message_len,) = struct.unpack_from("<I", frame, offset)
-    offset += 4
-    error = bytes(frame[offset : offset + message_len]).decode("utf-8")
-    return float(service_s), int(acc_bits), [int(r) for r in rids], None, error
+        (ndim,) = reader.unpack("<B")
+        outputs = reader.array(_wire_dtype(reader.text("<B")), ndim)
+        if outputs.shape[:1] != (count,):
+            raise ValueError(f"{count} rids but outputs of shape {outputs.shape}")
+    else:
+        error = reader.text("<I")
+    if reader.offset != len(frame):
+        raise ValueError(f"{len(frame) - reader.offset} stray bytes after the batch frame")
+    return float(service_s), int(acc_bits), [int(r) for r in rids], outputs, error
 
 
 # ----------------------------------------------------------------------
@@ -179,18 +220,10 @@ def _pool_worker_main(
     """Worker entry point: map the artifact, build, serve the pipe.
 
     Single-threaded by design — the pipe is the queue (FIFO, so batch
-    composition is deterministic given arrival order). Batch
-    collection follows the thread engine's rules, capped at
-    ``max_batch_size``: a worker that was idle when a request arrived
-    runs it at once with whatever is already readable; one that
-    comes back from a forward to a backlog — rows received but not
-    batched, or a frame waiting on the pipe, which backs up during
-    every forward — waits up to ``batch_window_s`` for the batch to
-    fill. The rows a handle held until ``start()`` arrive as one
-    message and are a backlog too. Requests already received join the
-    open batch even once the window has passed, and the window never
-    delays a full batch.
-    Batches run through the engine's ``_forward_batch``.
+    composition is deterministic given arrival order). Batches are
+    composed by the engine's :func:`~repro.serve.engine._collect_batches`
+    over the rows received off the pipe, and run through its
+    ``_forward_batch``.
     """
     try:
         segment = SharedArtifactSegment.attach(shm_name, shm_nbytes, untrack=untrack)
@@ -204,58 +237,47 @@ def _pool_worker_main(
         # user, so it serves directly (no clone), in eval mode.
         model = artifact.served_model(backend)
         dtype = _model_input_dtype(model)
-        conn.send_bytes(
-            struct.pack("<BB", _MSG_READY, len(dtype.str)) + dtype.str.encode("ascii")
-        )
+        conn.send_bytes(bytes([_MSG_READY]) + _pack_text("<B", dtype.str))
     except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}".encode("utf-8")
+        message = f"{type(exc).__name__}: {exc}"
         try:
-            conn.send_bytes(struct.pack("<BI", _MSG_FATAL, len(message)) + message)
+            conn.send_bytes(bytes([_MSG_FATAL]) + _pack_text("<I", message))
         except (BrokenPipeError, OSError):
             pass
         return
 
     received: Deque[Tuple[int, np.ndarray]] = deque()  # not yet in a batch
     closing = False
-    backlog = False  # rows waiting when the worker last came free
+
+    def receive() -> None:
+        nonlocal closing
+        frame = conn.recv_bytes()
+        closing = frame[0] == _OP_CLOSE
+        if not closing:
+            received.extend(_decode_predicts(frame, dtype))
+
+    def take() -> Optional[Tuple[int, np.ndarray]]:
+        if not received and not closing and conn.poll():
+            receive()
+        return received.popleft() if received else None
+
+    def wait(deadline: Optional[float]) -> bool:
+        if not closing:
+            conn.poll(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        return closing and not received
+
+    def answer(rids, outputs, error, service_s, acc_bits) -> None:
+        if error is not None:
+            error = f"{type(error).__name__}: {error}"
+        conn.send_bytes(_encode_batch(rids, service_s, acc_bits, outputs, error))
+
     try:
-        while received or not closing:
-            if not received:
-                frame = conn.recv_bytes()
-                if frame[0] == _OP_CLOSE:
-                    break
-                requests = _decode_predicts(frame, dtype)
-                # Only start() ships several requests in one message: the
-                # rows its handle held, a backlog as on the thread engine.
-                backlog = backlog or len(requests) > 1
-                received.extend(requests)
-            batch = [received.popleft()]
-            deadline = time.monotonic() + (batch_window_s if backlog else 0.0)
-            while len(batch) < max_batch_size:
-                if not received:
-                    if closing or not conn.poll(max(0.0, deadline - time.monotonic())):
-                        break
-                    frame = conn.recv_bytes()
-                    if frame[0] == _OP_CLOSE:
-                        closing = True  # answer what came before it, then leave
-                        break
-                    received.extend(_decode_predicts(frame, dtype))
-                batch.append(received.popleft())
-            outputs, error, service_s, acc_bits = _forward_batch(
-                model, [x for _rid, x in batch]
-            )
-            # Checked before the answer goes out, so a client's follow-up
-            # to it is not mistaken for a backlog.
-            backlog = bool(received) or conn.poll()
-            conn.send_bytes(
-                _encode_batch(
-                    [rid for rid, _x in batch],
-                    service_s,
-                    acc_bits,
-                    outputs=outputs,
-                    error=None if error is None else f"{type(error).__name__}: {error}",
-                )
-            )
+        # Idle until the first message. Only start() ships several rows
+        # in one message, and only as the first: the rows its handle
+        # held, a backlog as on the thread engine.
+        receive()
+        backlog = len(received) > 1
+        _collect_batches(take, wait, answer, model, batch_window_s, max_batch_size, backlog)
         conn.send_bytes(struct.pack("<B", _MSG_CLOSED))
         conn.close()
     except (EOFError, BrokenPipeError, OSError):
@@ -271,14 +293,11 @@ def _pool_worker_main(
 # Parent-side worker handle
 # ----------------------------------------------------------------------
 class ProcessWorkerHandle(_EngineCore):
-    """Parent-side handle to one worker process.
-
-    Admission, the outstanding-request table, batch accounting,
-    ``drain``, orphan hand-off and the settling of leftovers are the
-    engine core's, shared with :class:`~repro.serve.engine.InferenceEngine`.
-    This class adds the pipe, the request frames held until
-    :meth:`start`, the reader thread that turns ``BATCH`` frames into
-    answers, and the process lifecycle. Accounting stays parent-side,
+    """Parent-side handle to one worker process: the engine core
+    (:class:`~repro.serve.engine._EngineCore`) plus the pipe, the
+    request frames held until :meth:`start`, the reader thread that
+    turns ``BATCH`` frames into answers, and the process lifecycle.
+    Accounting stays parent-side,
     derived from the answer stream, so stats, latencies and
     executed-batch records survive the worker's death (a killed
     worker's batches must stay replayable for parity).
@@ -314,10 +333,8 @@ class ProcessWorkerHandle(_EngineCore):
     # -- lifecycle ------------------------------------------------------
     def start(self) -> None:
         """Ship the frames held since construction, in submit order and
-        as one message, and send every later one straight away
-        (idempotent). Until then the worker idles; the held backlog
-        then reaches it all at once and coalesces into full batches, as
-        the thread engine's queue does."""
+        as one message — the worker's backlog — and send every later one
+        straight away (idempotent)."""
         with self._cond:
             self._started = True
         try:
@@ -376,15 +393,9 @@ class ProcessWorkerHandle(_EngineCore):
     # -- shutdown -------------------------------------------------------
     def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Shut the worker down; the thread engine's contract.
-
-        ``drain=True`` sends the close frame — the worker answers every
-        request already on the pipe (FIFO guarantees nothing is
-        skipped), acknowledges, and exits; ``drain=False`` terminates
-        the process and cancels outstanding requests with
-        :class:`RequestCancelled`. A worker still alive after the join
-        window raises :class:`ShutdownTimeout` and stays open — a
-        later ``close()`` keeps waiting.
-        """
+        ``drain=True`` sends the close frame, and the worker answers the
+        requests before it (FIFO) and exits; ``drain=False`` terminates
+        the process."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             self._closing = True
@@ -517,35 +528,32 @@ class ProcessPlacement:
         return handle, lease.model, lease
 
     def _await_ready(self, conn, process, expected_dtype: np.dtype) -> None:
-        """Block for the worker's handshake (READY or FATAL).
+        """Block for the worker's handshake (READY or FATAL); a failed
+        one stops the worker.
 
         The READY frame carries the dtype the worker's model computes
         in; it must match the parent's verification twin, or parity
         replays would compare across dtypes.
         """
-        if not conn.poll(_READY_TIMEOUT_S):
+        try:
+            if not conn.poll(_READY_TIMEOUT_S):
+                raise RuntimeError(f"worker did not come up within {_READY_TIMEOUT_S} s")
+            frame = conn.recv_bytes()
+            if frame[0] == _MSG_FATAL:
+                message = _FrameReader(frame, 1).text("<I")
+                raise RuntimeError(f"worker failed to build the artifact: {message}")
+            if frame[0] != _MSG_READY:
+                raise RuntimeError(f"unexpected handshake opcode {frame[0]}")
+            worker_dtype = _wire_dtype(_FrameReader(frame, 1).text("<B"))
+            if worker_dtype != expected_dtype:
+                raise RuntimeError(
+                    f"worker computes in {worker_dtype}, parent twin in "
+                    f"{expected_dtype} — artifact reconstruction diverged"
+                )
+        except BaseException:
             process.terminate()
             process.join(5.0)
-            raise RuntimeError(f"worker did not come up within {_READY_TIMEOUT_S} s")
-        frame = conn.recv_bytes()
-        if frame[0] == _MSG_FATAL:
-            (message_len,) = struct.unpack_from("<I", frame, 1)
-            message = bytes(frame[5 : 5 + message_len]).decode("utf-8")
-            process.join(5.0)
-            raise RuntimeError(f"worker failed to build the artifact: {message}")
-        if frame[0] != _MSG_READY:
-            process.terminate()
-            process.join(5.0)
-            raise RuntimeError(f"unexpected handshake opcode {frame[0]}")
-        (dtype_len,) = struct.unpack_from("<B", frame, 1)
-        worker_dtype = np.dtype(bytes(frame[2 : 2 + dtype_len]).decode("ascii"))
-        if worker_dtype != expected_dtype:
-            process.terminate()
-            process.join(5.0)
-            raise RuntimeError(
-                f"worker computes in {worker_dtype}, parent twin in "
-                f"{expected_dtype} — artifact reconstruction diverged"
-            )
+            raise
 
     def detach(self, handle: ProcessWorkerHandle) -> None:
         """A worker left the rotation (died or retired): reap the

@@ -68,7 +68,8 @@ class ServeConfig:
 
     record_batches: bool = False
     """Keep each executed batch's request ids, so
-    :func:`~repro.serve.replay.verify_replay` can re-run it."""
+    :func:`~repro.serve.replay.verify_replay` can re-run it (unbounded
+    growth: for tests and verification, not long-lived servers)."""
 
     autostart: bool = True
     """Start the engines with the session (else :meth:`ServingSession.start`)."""

@@ -393,12 +393,16 @@ class TestPredictCommand:
         assert "expected a batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "content",
-        [None, b"not an array", b"PK\x03\x04truncated"],
+        "content,message",
+        [
+            (None, "No such file"),
+            (b"not an array", "batch.npz is not an .npy/.npz batch"),
+            (b"PK\x03\x04truncated", "not a zip file"),
+        ],
         ids=["missing", "garbage", "truncated-npz"],
     )
     def test_predict_unreadable_input_exits_2(
-        self, capsys, preset_artifact, tmp_path, content
+        self, capsys, preset_artifact, tmp_path, content, message
     ):
         batch = tmp_path / "batch.npz"
         if content is not None:
@@ -406,7 +410,9 @@ class TestPredictCommand:
         assert main(
             ["predict", "--artifact", str(preset_artifact), "--input", str(batch)]
         ) == 2
-        assert capsys.readouterr().err.startswith("predict: ")
+        err = capsys.readouterr().err
+        assert err.startswith("predict: ") and message in err
+        assert "allow_pickle" not in err
 
     @pytest.mark.parametrize(
         "content,message",

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from repro.serve import (
     ShutdownTimeout,
     combine_serve_stats,
 )
+from repro.serve.engine import _collect_batches
 from repro.tensor.tensor import Tensor
 
 
@@ -177,6 +179,141 @@ class TestMicroBatching:
         with InferenceEngine(make_toy_model()) as engine:
             with pytest.raises(RuntimeError, match="record_batches"):
                 engine.executed_batches()
+
+
+class VirtualSource:
+    """A row source for ``_collect_batches`` on a virtual clock, the way
+    the autoscaler's tests drive ``observe(now_s=...)``.
+
+    Row ``rid`` becomes ready at its scheduled time; a close begins at
+    ``close_at``; each forward takes ``forward_s`` of virtual time, and
+    its rows are answered at the end of it. ``wait`` jumps the clock to
+    the next arrival, close or deadline; with none left, it stops the
+    run. ``follow_up`` lets a closed-loop client send its next row the
+    moment its answer arrives.
+    """
+
+    def __init__(self, arrivals, close_at=None, forward_s=1.0, follow_up=None):
+        self.now = 0.0
+        self.pending = sorted((t, rid) for rid, t in arrivals.items())
+        self.ready = deque()
+        self.close_at = close_at
+        self.forward_s = forward_s
+        self.follow_up = follow_up
+        self.batches = []  # (virtual start time, rids), one per forward
+        self.answered = []
+
+    def clock(self):
+        return self.now
+
+    def closed(self):
+        return self.close_at is not None and self.now >= self.close_at
+
+    def take(self):
+        while self.pending and self.pending[0][0] <= self.now:
+            self.ready.append(self.pending.pop(0)[1])
+        if not self.ready:
+            return None
+        rid = self.ready.popleft()
+        return rid, np.full(2, float(rid))
+
+    def wait(self, deadline):
+        """Stop once a close has begun and left no row to take."""
+        events = [t for t in (deadline, self.close_at) if t is not None]
+        events += [t for t, _rid in self.pending[:1]]
+        if not self.closed() and events:
+            self.now = max(self.now, min(events))
+        has_rows = self.ready or (self.pending and self.pending[0][0] <= self.now)
+        return not has_rows and (self.closed() or not events)
+
+    def __call__(self, inputs):  # the model
+        self.batches.append((self.now, [int(row[0]) for row in inputs.data]))
+        self.now += self.forward_s
+        return inputs
+
+    def answer(self, rids, outputs, error, service_s, acc_bits):
+        assert error is None
+        self.answered += rids
+        for rid in rids:
+            if self.follow_up is not None and self.follow_up(rid) is not None:
+                self.pending.append((self.now, self.follow_up(rid)))
+                self.pending.sort()
+
+    def run(self, batch_window_s, max_batch_size=4, backlog=False):
+        _collect_batches(
+            self.take, self.wait, self.answer, self, batch_window_s,
+            max_batch_size, backlog, clock=self.clock,
+        )
+        return self.batches
+
+
+class TestBatchingRule:
+    """The one batching rule, clause by clause, with no threads and no
+    wall clock: batches are ``(virtual start time, rids)``."""
+
+    def test_idle_worker_runs_a_row_at_once(self):
+        assert VirtualSource({0: 0.0}).run(batch_window_s=5.0) == [(0.0, [0])]
+
+    def test_idle_worker_takes_the_rows_already_ready(self):
+        source = VirtualSource({0: 0.0, 1: 0.0, 2: 0.0, 3: 0.2})
+        assert source.run(batch_window_s=5.0) == [(0.0, [0, 1, 2]), (6.0, [3])]
+
+    def test_closed_loop_follow_ups_never_wait(self):
+        """A client's next row, sent on its answer, reaches an idle
+        worker: the backlog is read before the answer goes out."""
+        source = VirtualSource({0: 0.0}, follow_up=lambda rid: rid + 1 if rid < 3 else None)
+        assert source.run(batch_window_s=5.0) == [
+            (0.0, [0]), (1.0, [1]), (2.0, [2]), (3.0, [3])
+        ]
+        assert source.answered == [0, 1, 2, 3]
+
+    def test_backlog_waits_up_to_the_window(self):
+        """Rows that queue during a forward wait up to the window for
+        more; a row after the deadline opens the next batch."""
+        source = VirtualSource({0: 0.0, 1: 0.5, 2: 1.2, 3: 1.7})
+        assert source.run(batch_window_s=0.5) == [
+            (0.0, [0]), (1.5, [1, 2]), (3.0, [3])
+        ]
+
+    def test_a_full_batch_never_waits(self):
+        source = VirtualSource({0: 0.0, 1: 0.5, 2: 0.5, 3: 0.5})
+        assert source.run(batch_window_s=10.0, max_batch_size=2) == [
+            (0.0, [0]), (1.0, [1, 2]), (12.0, [3])
+        ]
+
+    def test_received_rows_join_up_to_the_cap(self):
+        """With no window at all, rows already received still fill
+        batches up to ``max_batch_size``."""
+        source = VirtualSource({rid: 0.0 for rid in range(10)})
+        assert source.run(batch_window_s=0.0) == [
+            (0.0, [0, 1, 2, 3]), (1.0, [4, 5, 6, 7]), (2.0, [8, 9])
+        ]
+
+    def test_rows_held_until_start_are_a_backlog(self):
+        arrivals = {0: 0.0, 1: 0.0, 2: 0.3}
+        held = VirtualSource(arrivals).run(batch_window_s=0.5, backlog=True)
+        assert held == [(0.5, [0, 1, 2])]
+        live = VirtualSource(arrivals).run(batch_window_s=0.5)
+        assert live == [(0.0, [0, 1]), (1.5, [2])]
+
+    def test_a_close_answers_the_rows_before_it(self):
+        """A close ends the open batch without waiting out the window,
+        answers every row that came before it, and then stops."""
+        arrivals = {rid: 0.0 for rid in range(5)}
+        arrivals[5] = 5.0  # after the close: never taken
+        source = VirtualSource(arrivals, close_at=0.5)
+        assert source.run(batch_window_s=10.0, max_batch_size=2) == [
+            (0.0, [0, 1]), (1.0, [2, 3]), (2.0, [4])
+        ]
+        assert source.answered == [0, 1, 2, 3, 4]
+
+    def test_rows_arriving_with_the_close_are_answered(self):
+        source = VirtualSource({0: 1.0, 1: 1.0}, close_at=1.0)
+        assert source.run(batch_window_s=10.0) == [(1.0, [0, 1])]
+
+    def test_a_close_cuts_the_window_short(self):
+        source = VirtualSource({0: 0.0, 1: 0.0}, close_at=2.0)
+        assert source.run(batch_window_s=10.0, backlog=True) == [(2.0, [0, 1])]
 
 
 class TestErrorsAndLifecycle:

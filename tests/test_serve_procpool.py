@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.module import Module
 from repro.serve import (
@@ -33,6 +35,7 @@ from repro.serve import procpool
 from repro.serve.procpool import (
     _decode_batch,
     _decode_predict,
+    _decode_predicts,
     _encode_batch,
     _encode_predict,
 )
@@ -121,6 +124,73 @@ class TestWireCodec:
         )
         assert rids == [5] and decoded is None
         assert error == "model exploded: NaN"
+
+
+def wire_frames():
+    """Valid frames of every kind the decoders read, keyed by decoder."""
+    rows = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    predicts = [_encode_predict(7, rows[0]), _encode_predict(8, rows)]
+    return [
+        ("predict", predicts[0]),
+        ("predicts", b"".join(predicts)),
+        ("batch", _encode_batch([3, 9], 0.5, 12, rows[:, 0], None)),
+        ("batch", _encode_batch([5], 0.0, 0, None, "model exploded: NaN")),
+    ]
+
+
+def decode(kind, frame):
+    if kind == "batch":
+        return _decode_batch(frame)
+    if kind == "predict":
+        return _decode_predict(frame, np.dtype(np.float32))
+    return _decode_predicts(frame, np.dtype(np.float32))
+
+
+class TestMalformedFrames:
+    """Every decoder turns a malformed frame into ``ValueError``: no
+    ``struct.error``, ``TypeError`` or ``MemoryError``, and no header
+    length trusted past the bytes that remain."""
+
+    @pytest.mark.parametrize(
+        "kind,frame",
+        [
+            ("batch", b"\x01"),
+            ("predict", b"\x01"),
+            ("predicts", b"\x01"),
+            ("batch", bytes(21)),  # a zero dtype name
+            # 2**32 - 1 rids claimed by a 16-byte frame
+            ("batch", _encode_batch([], 0.0, 0, None, "x")[:12] + b"\xff" * 4),
+            ("predict", _encode_predict(1, np.zeros((4, 4), np.float32))[:-1]),
+            ("batch", _encode_batch([1], 0.0, 0, np.zeros((2, 3), np.float32))),
+            ("batch", _encode_batch([1], 0.0, 0, np.zeros((1, 3), np.float32)) + b"\0"),
+            ("batch", _encode_batch([1], 0.0, 0, np.zeros((1, 3), object))),
+        ],
+        ids=[
+            "batch-one-byte", "predict-one-byte", "predicts-one-byte",
+            "batch-zero-dtype", "rid-count-overrun", "predict-short-payload",
+            "rows-disagree-with-rids", "stray-bytes", "object-dtype",
+        ],
+    )
+    def test_known_malformed_frames_raise_value_error(self, kind, frame):
+        with pytest.raises(ValueError):
+            decode(kind, frame)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        index=st.integers(0, len(wire_frames()) - 1),
+        cut=st.integers(0, 10_000),
+        flips=st.lists(st.integers(0, 10_000), max_size=3),
+    )
+    def test_truncated_and_bit_flipped_frames(self, index, cut, flips):
+        kind, frame = wire_frames()[index]
+        data = bytearray(frame)
+        for bit in flips:
+            data[(bit // 8) % len(data)] ^= 1 << (bit % 8)
+        data = bytes(data[: len(data) - cut % len(data)] if cut % 3 else data)
+        try:
+            decode(kind, data)
+        except ValueError:
+            pass
 
 
 # ----------------------------------------------------------------------
